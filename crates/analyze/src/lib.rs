@@ -11,7 +11,7 @@
 //! * [`rules::NoPanicInRoundLoop`] — the fault-tolerant round loop (PR 1)
 //!   must degrade on client failure, never panic. Semantic: flags
 //!   `unwrap`/`expect`/`panic!`-family/`[…]` indexing in any function
-//!   reachable from `Simulation`, `ShardedSimulation`,
+//!   reachable from `Simulation` (and its `ShardedSimulation` facade),
 //!   `CentralizedTrainer`, the `fl::stages` pipeline, or any
 //!   `Strategy`/`FaultModel`/`Interceptor` impl.
 //! * The determinism auditor ([`rules::HashIterationOrder`],

@@ -24,8 +24,8 @@
 //!   bit-identical to sequential execution.
 //! * [`EnvReadOutsideOverride`] — `env::var` outside the sanctioned
 //!   override points (`FEDCAV_EXECUTOR` in `fl::executor`,
-//!   `FEDCAV_BACKEND` and its deprecated `FEDCAV_KERNELS` alias in
-//!   `tensor::backend`): configuration must flow through constructors,
+//!   `FEDCAV_BACKEND` in `tensor::backend`): configuration must flow
+//!   through constructors,
 //!   not ambient process state.
 
 use super::{WorkspaceContext, WorkspaceRule};

@@ -307,14 +307,15 @@ impl Config {
     ///   (`hash-iteration-order`, `wallclock-in-round-loop`,
     ///   `spawn-outside-executor`, `env-read-outside-override`) are
     ///   *semantic*: they apply to every function the call graph marks
-    ///   reachable from the [`RootSpec`] roots — `Simulation`,
-    ///   `ShardedSimulation`, `CentralizedTrainer`, the `fl::stages`
-    ///   pipeline functions, and every `Strategy`/`FaultModel`/
-    ///   `Interceptor` impl. Their `PathRules` entries list only the
-    ///   sanctioned exemption sites (`fedcav-trace` may read the clock;
-    ///   `fl::executor` may spawn and read `FEDCAV_EXECUTOR`;
-    ///   `tensor::backend` may read `FEDCAV_BACKEND` and its deprecated
-    ///   `FEDCAV_KERNELS` alias).
+    ///   reachable from the [`RootSpec`] roots — `Simulation` (the one
+    ///   round driver; its private source and per-shard helpers are
+    ///   reached through `run_round`), the `ShardedSimulation` facade,
+    ///   `CentralizedTrainer`, the `fl::stages` pipeline functions, and
+    ///   every `Strategy`/`FaultModel`/`Interceptor` impl. Their
+    ///   `PathRules` entries list only the sanctioned exemption sites
+    ///   (`fedcav-trace` may read the clock; `fl::executor` may spawn and
+    ///   read `FEDCAV_EXECUTOR`; `tensor::backend` may read
+    ///   `FEDCAV_BACKEND`).
     /// * `raw-exp-ln` — everywhere except `fedcav-tensor::numerics`, the one
     ///   sanctioned home of clipped/max-subtracted exp/ln (Eq. 7/9, §4.2.3).
     /// * `unchecked-float-cmp` — everywhere, tests included: `total_cmp` is

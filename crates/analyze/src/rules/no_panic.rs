@@ -11,7 +11,8 @@
 //! constructs (`unwrap`/`expect`, `panic!`-family macros, `[…]` index and
 //! range-index expressions) in any function the workspace call graph
 //! ([`crate::callgraph`]) marks reachable from the round-loop roots —
-//! `Simulation`, `ShardedSimulation`, `CentralizedTrainer`, the
+//! `Simulation` (the one round driver, over datasets or a population),
+//! its `ShardedSimulation` facade, `CentralizedTrainer`, the
 //! `fl::stages` free functions, and every `Strategy`/`FaultModel`/
 //! `Interceptor` impl. There is no hand-maintained file list to extend
 //! when a new crate grows onto the hot path; writing code the loop can

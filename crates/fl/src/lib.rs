@@ -18,8 +18,10 @@
 //!   weights, dishonest-size-robust weighting), all honouring the
 //!   graceful-degradation contract of [`Strategy::take_breach`],
 //! * [`centralized`] — the centralized gradient-descent upper-bound baseline,
-//! * [`server`] — the round-loop driver over a staged pipeline, with an
-//!   [`Interceptor`] hook where adversaries splice in malicious updates,
+//! * [`server`] — the one round-loop driver ([`Simulation`]) over a staged
+//!   pipeline, with an [`Interceptor`] hook where adversaries splice in
+//!   malicious updates; its clients are live datasets or a procedural
+//!   [`Population`],
 //! * [`stages`] — the six round stages (sampling → training → delivery →
 //!   validation → aggregation → evaluation), each an isolated function over
 //!   a [`stages::RoundContext`],
@@ -28,9 +30,10 @@
 //!   results either way; `FEDCAV_EXECUTOR` env override),
 //! * [`population`] / [`sharded`] — the million-client scale substrate:
 //!   procedural [`ClientDescriptor`]s replacing live datasets for clients
-//!   not sampled this round, and the two-pass streaming shard protocol
-//!   whose aggregation is bit-identical to the materialized path in
-//!   constant memory (DESIGN.md §14),
+//!   not sampled this round ([`Simulation::over_population`], whose large
+//!   cohorts aggregate through the two-pass streaming shard protocol,
+//!   bit-identical to one pass, in constant memory — DESIGN.md §14), the
+//!   O(cohort) [`sample_cohort`], and the [`ShardedSimulation`] facade,
 //! * [`eval`] / [`metrics`] — test-set evaluation and per-round records,
 //! * [`availability`] — who is online each round (always / Bernoulli /
 //!   diurnal cohorts),

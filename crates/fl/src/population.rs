@@ -1,10 +1,10 @@
 //! Procedural client populations: million-client deployments in O(1) state.
 //!
-//! A [`crate::Simulation`] owns one live [`Dataset`] per client, which caps
-//! the deployment size at whatever fits in memory. The streaming sharded
-//! driver ([`crate::sharded::ShardedSimulation`]) replaces that vector with
-//! a [`Population`]: a *recipe* from which any client's dataset can be
-//! regenerated on demand. A client that is not sampled this round costs
+//! A [`crate::Simulation`] built with [`crate::Simulation::new`] owns one
+//! live [`Dataset`] per client, which caps the deployment size at whatever
+//! fits in memory. [`crate::Simulation::over_population`] replaces that
+//! vector with a [`Population`]: a *recipe* from which any client's dataset
+//! can be regenerated on demand. A client that is not sampled this round costs
 //! nothing; a sampled client costs one dataset for exactly as long as it is
 //! training. That is what makes `n = 1_000_000, q = 0.3%` rounds run on a
 //! laptop: peak memory scales with the cohort (and the shard size), never
@@ -79,7 +79,7 @@ impl Population {
     }
 
     /// The descriptor of client `client`. O(1); does not generate any data.
-    /// Returns `None` for ids outside the deployment — the streaming driver
+    /// Returns `None` for ids outside the deployment — the round loop
     /// treats that as a failed client, never a panic.
     pub fn descriptor(&self, client: usize) -> Option<ClientDescriptor> {
         if client >= self.n {
@@ -104,9 +104,9 @@ impl Population {
     }
 
     /// Materialize *every* client's dataset — O(n) memory, the exact cost
-    /// the streaming driver exists to avoid. Only for comparison tests that
-    /// pit a [`crate::Simulation`] over the same clients against the
-    /// sharded driver; never call this at scale.
+    /// the population source exists to avoid. Only for comparison tests
+    /// that pit a datasets-source [`crate::Simulation`] over the same
+    /// clients against the population source; never call this at scale.
     pub fn materialize_all(&self) -> Result<Vec<Dataset>> {
         (0..self.n).map(|c| self.materialize(c)).collect()
     }

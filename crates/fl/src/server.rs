@@ -1,10 +1,18 @@
-//! The server round loop: a thin driver over the staged round pipeline
+//! The server round loop: one driver over the staged round pipeline
 //! ([`crate::stages`]) — sampling, parallel local training, delivery,
 //! validation, aggregation, evaluation (Algorithm 1's outer loop).
 //!
 //! The loop is *fault-tolerant*: a client that crashes, errors, uploads
 //! garbage or misses the deadline costs the round one contribution, never
 //! the whole simulation. See [`FaultPolicy`] and [`crate::faults`].
+//!
+//! A [`Simulation`] draws its clients from one of two sources: live
+//! datasets ([`Simulation::new`]) or a procedural [`Population`]
+//! ([`Simulation::over_population`]). Both run the same `run_round`. A
+//! round keeps its updates and aggregates them in one pass when an
+//! interceptor is installed or the cohort fits in one shard (always, for
+//! datasets); a larger population cohort runs the two-pass streaming
+//! protocol of DESIGN.md §14 instead, holding at most one shard's updates.
 //!
 //! Each stage lives in its own module under `stages/`; `run_round` only
 //! sequences them, times them ([`PhaseTimings`]), and folds the resulting
@@ -17,8 +25,10 @@ use crate::executor::ClientExecutor;
 use crate::faults::FaultModel;
 use crate::latency::LatencyModel;
 use crate::metrics::{History, RoundRecord};
-use crate::stages;
-use crate::strategy::Strategy;
+use crate::population::Population;
+use crate::sharded::sample_cohort;
+use crate::stages::{self, delivery::DeliveryEnv, training::Clients, training::TrainingEnv};
+use crate::strategy::{Strategy, UpdateMeta};
 use crate::transport::UpdateTransport;
 use crate::update::LocalUpdate;
 use fedcav_data::Dataset;
@@ -99,12 +109,45 @@ pub trait Interceptor: Send {
     ) -> Result<()>;
 }
 
-/// A federated deployment: `n` clients with local datasets, one test set,
-/// one aggregation strategy, one global model.
+/// Where a [`Simulation`]'s clients come from.
+enum ClientSource {
+    /// One live dataset per client, plus the server's test set.
+    Datasets { clients: Vec<Dataset>, test: Dataset },
+    /// A procedural population. `shard_size` (at least 1) is the largest
+    /// cohort whose updates a round keeps, and the unit of the streaming
+    /// protocol's passes.
+    Population { population: Population, shard_size: usize },
+}
+
+impl ClientSource {
+    fn n(&self) -> usize {
+        match self {
+            ClientSource::Datasets { clients, .. } => clients.len(),
+            ClientSource::Population { population, .. } => population.n(),
+        }
+    }
+
+    fn clients(&self) -> Clients<'_> {
+        match self {
+            ClientSource::Datasets { clients, .. } => Clients::Datasets(clients),
+            ClientSource::Population { population, .. } => Clients::Population(population),
+        }
+    }
+
+    /// A datasets source always keeps its cohort's updates.
+    fn shard_size(&self) -> usize {
+        match self {
+            ClientSource::Datasets { .. } => usize::MAX,
+            ClientSource::Population { shard_size, .. } => *shard_size,
+        }
+    }
+}
+
+/// A federated deployment: `n` clients (live datasets or a procedural
+/// population), one aggregation strategy, one global model.
 pub struct Simulation<'a> {
     factory: &'a ModelFactory,
-    clients: Vec<Dataset>,
-    test: Dataset,
+    source: ClientSource,
     strategy: Box<dyn Strategy + 'a>,
     interceptor: Option<Box<dyn Interceptor + 'a>>,
     transport: Option<UpdateTransport>,
@@ -129,11 +172,12 @@ pub struct Simulation<'a> {
 }
 
 impl<'a> Simulation<'a> {
-    /// Build a deployment. The initial global model is one fresh `factory()`
-    /// instance (the paper's "initialize weights" step). The client executor
-    /// defaults to [`ClientExecutor::from_env`], so setting
-    /// `FEDCAV_EXECUTOR=threads:4` parallelises every simulation in the
-    /// process without code changes (results are bit-identical either way).
+    /// Build a deployment over live client datasets and a server test set.
+    /// The initial global model is one fresh `factory()` instance (the
+    /// paper's "initialize weights" step). The client executor defaults to
+    /// [`ClientExecutor::from_env`], so setting `FEDCAV_EXECUTOR=threads:4`
+    /// parallelises every simulation in the process without code changes
+    /// (results are bit-identical either way).
     pub fn new(
         factory: &'a ModelFactory,
         clients: Vec<Dataset>,
@@ -142,13 +186,40 @@ impl<'a> Simulation<'a> {
         config: SimulationConfig,
     ) -> Self {
         assert!(!clients.is_empty(), "need at least one client");
+        Self::with_source(factory, ClientSource::Datasets { clients, test }, strategy, config)
+    }
+
+    /// Build a deployment over a procedural [`Population`]: a client's data
+    /// exists only while it trains, and the cohort is sampled in O(cohort)
+    /// ([`sample_cohort`]; availability models do not apply). A cohort
+    /// larger than `shard_size` (values below 1 count as 1) is aggregated
+    /// by the two-pass streaming protocol, so at most `shard_size` updates
+    /// exist at once — unless an interceptor is installed, which must see
+    /// the whole cohort. There is no server test set, so rounds record no
+    /// test metrics.
+    pub fn over_population(
+        factory: &'a ModelFactory,
+        population: Population,
+        shard_size: usize,
+        strategy: Box<dyn Strategy + 'a>,
+        config: SimulationConfig,
+    ) -> Self {
+        let source = ClientSource::Population { population, shard_size: shard_size.max(1) };
+        Self::with_source(factory, source, strategy, config)
+    }
+
+    fn with_source(
+        factory: &'a ModelFactory,
+        source: ClientSource,
+        strategy: Box<dyn Strategy + 'a>,
+        config: SimulationConfig,
+    ) -> Self {
         let global = Arc::new(factory().flat_params());
         let comm_model = CommModel::new(global.len());
         let rng = StdRng::seed_from_u64(config.seed);
         Simulation {
             factory,
-            clients,
-            test,
+            source,
             strategy,
             interceptor: None,
             transport: None,
@@ -170,11 +241,11 @@ impl<'a> Simulation<'a> {
     }
 
     /// Install an adversarial interceptor. Returns `&mut self` for chaining.
+    /// Rounds then keep every update in memory, whatever the source.
     pub fn set_interceptor(&mut self, interceptor: Box<dyn Interceptor + 'a>) -> &mut Self {
         self.interceptor = Some(interceptor);
         self
     }
-
     /// Install a compressed update transport: every arriving upload is run
     /// through the codec at delivery (before billing and before any
     /// adversarial interceptor), and `CommStats` bills the *encoded* frame
@@ -207,7 +278,8 @@ impl<'a> Simulation<'a> {
     }
 
     /// Install a client-availability model (default: everyone online).
-    /// Returns `&mut self` for chaining.
+    /// Applies to a datasets source; a population samples its whole
+    /// deployment. Returns `&mut self` for chaining.
     pub fn set_availability(&mut self, model: Box<dyn AvailabilityModel + 'a>) -> &mut Self {
         self.availability = model;
         self
@@ -286,7 +358,7 @@ impl<'a> Simulation<'a> {
 
     /// Number of clients in the deployment.
     pub fn n_clients(&self) -> usize {
-        self.clients.len()
+        self.source.n()
     }
 
     /// Strategy name (for experiment output).
@@ -304,100 +376,148 @@ impl<'a> Simulation<'a> {
         self.comm_stats
     }
 
-    /// The training stage's view of the deployment. FedProx injects its μ
-    /// into local training; other strategies leave the configured value
-    /// (normally 0).
-    fn training_env(&self) -> stages::training::TrainingEnv<'_> {
-        let strategy_mu = self.strategy.prox_mu();
-        let local = LocalConfig {
-            prox_mu: if strategy_mu > 0.0 { strategy_mu } else { self.config.local.prox_mu },
-            ..self.config.local
-        };
-        stages::training::TrainingEnv {
-            factory: self.factory,
-            global: &self.global,
-            clients: &self.clients,
-            local,
-            seed: self.config.seed,
-            fault_model: self.fault_model.as_deref(),
-        }
-    }
-
-    /// The delivery stage's inputs, borrow-split so the stage can read the
-    /// deployment (env) while mutating the traffic ledger and running the
-    /// interceptor.
-    fn delivery_io(
-        &mut self,
-    ) -> (stages::delivery::DeliveryEnv<'_>, &mut CommStats, Option<&mut (dyn Interceptor + 'a)>)
-    {
-        let env = stages::delivery::DeliveryEnv {
-            latency: self.latency.as_deref(),
-            deadline: self.fault_policy.deadline,
-            comm: self.comm_model,
-            counts_loss: self.strategy.uses_inference_loss(),
-            global: &self.global,
-            transport: self.transport.as_ref(),
-        };
-        (env, &mut self.comm_stats, self.interceptor.as_deref_mut())
-    }
-
     /// Run one communication round; returns the recorded metrics.
     ///
     /// This is a pure driver: it sequences the six pipeline stages, times
     /// each one, and records the result — all round semantics live in
     /// [`crate::stages`].
     pub fn run_round(&mut self) -> Result<RoundRecord> {
-        // Phase wall times are always measured (six `Instant` reads per
-        // round); the tracer only decides whether span *events* are also
-        // emitted. Cloning the Arc keeps the spans free of `self` borrows.
+        // Phase wall times are always measured (a few `Instant` reads per
+        // round and shard); the tracer only decides whether span *events*
+        // are also emitted. Cloning the Arc keeps the spans free of `self`
+        // borrows.
         let tracer = Arc::clone(&self.tracer);
         let tracer: &dyn Tracer = &*tracer;
         let mut phases = PhaseTimings::default();
         let round_span = Span::begin(tracer, "round");
         let ops_before = fedcav_tensor::counters::snapshot();
-        let mut ctx = stages::RoundContext::new(self.round);
+        let round = self.round;
+        let mut ctx = stages::RoundContext::new(round);
 
         let span = Span::begin(tracer, "round.sampling");
-        let (n, q) = (self.clients.len(), self.config.sample_ratio);
-        stages::sampling::run(&mut ctx, &*self.availability, n, q, &mut self.rng);
+        let q = self.config.sample_ratio;
+        match &self.source {
+            ClientSource::Datasets { clients, .. } => stages::sampling::run(
+                &mut ctx,
+                &*self.availability,
+                clients.len(),
+                q,
+                &mut self.rng,
+            ),
+            ClientSource::Population { population, .. } => {
+                ctx.participants = sample_cohort(population.n(), q, &mut self.rng);
+            }
+        }
         phases.sampling_ns = span.done();
 
-        let span = Span::begin(tracer, "round.training");
-        stages::training::run(&mut ctx, &self.training_env(), self.executor);
-        phases.training_ns = span.finish(training_fields(tracer, &ctx));
+        let Simulation {
+            factory,
+            source,
+            strategy,
+            interceptor,
+            transport,
+            latency,
+            fault_model,
+            fault_policy,
+            executor,
+            global,
+            config,
+            comm_model,
+            comm_stats,
+            ..
+        } = self;
+        // The keep-or-regenerate rule (DESIGN.md §14): keep the updates when
+        // the interceptor must see them all or the cohort fits in a shard;
+        // otherwise keep only their scalars and regenerate them in pass 2.
+        let shard_size = source.shard_size();
+        let keep = interceptor.is_some() || ctx.participants.len() <= shard_size;
+        // FedProx-style strategies inject their μ into local training;
+        // other strategies leave the configured value (normally 0).
+        let strategy_mu = strategy.prox_mu();
+        let local = LocalConfig {
+            prox_mu: if strategy_mu > 0.0 { strategy_mu } else { config.local.prox_mu },
+            ..config.local
+        };
+        let collect = Collect {
+            training: TrainingEnv {
+                factory: *factory,
+                global: &*global,
+                clients: source.clients(),
+                local,
+                seed: config.seed,
+                fault_model: fault_model.as_deref(),
+            },
+            delivery: DeliveryEnv {
+                latency: latency.as_deref(),
+                deadline: fault_policy.deadline,
+                comm: *comm_model,
+                counts_loss: strategy.uses_inference_loss(),
+                global: &*global,
+                transport: transport.as_ref(),
+            },
+            executor: *executor,
+            max_param_norm: fault_policy.max_param_norm,
+        };
 
-        let span = Span::begin(tracer, "round.delivery");
-        let (env, comm_stats, interceptor) = self.delivery_io();
-        stages::delivery::run(&mut ctx, env, comm_stats, interceptor)?;
-        phases.delivery_ns = span.done();
-
-        let span = Span::begin(tracer, "round.validation");
-        stages::validation::run(&mut ctx, self.global.len(), self.fault_policy.max_param_norm);
-        phases.validation_ns = span.done();
+        // Pass 1: train, deliver and validate shard by shard. Kept updates
+        // stay in `ctx.updates`; otherwise only their scalars survive.
+        let cohort = std::mem::take(&mut ctx.participants);
+        let chunk_len = if keep { cohort.len() } else { shard_size }.max(1);
+        let mut interceptor = interceptor.as_deref_mut();
+        let mut metas: Vec<UpdateMeta> = Vec::new();
+        for chunk in cohort.chunks(chunk_len) {
+            collect.chunk(&mut ctx, chunk, interceptor.take(), tracer, &mut phases)?;
+            metas.extend(ctx.updates.iter().map(UpdateMeta::of));
+            if !keep {
+                ctx.updates.clear();
+            }
+        }
+        ctx.participants = cohort;
+        // Close the round's ledger and loss statistics. A degraded round
+        // still moved its bytes, and pass 2 replays uploads without billing.
+        stages::delivery::bill(&mut ctx, &collect.delivery, comm_stats);
+        stages::validation::close(&mut ctx, &metas);
+        let aggregated = metas.len();
 
         let span = Span::begin(tracer, "round.aggregation");
-        let quorum = self.fault_policy.min_quorum;
-        // Copy-on-write: by now every client's Arc'd download is dropped,
-        // so make_mut mutates in place unless a user snapshot is alive.
-        let global = Arc::make_mut(&mut self.global);
-        stages::aggregation::run(&mut ctx, &mut *self.strategy, global, quorum)?;
+        let quorum = fault_policy.min_quorum;
+        if keep {
+            // Copy-on-write: by now every client's Arc'd download is
+            // dropped, so make_mut mutates in place unless a user snapshot
+            // is alive.
+            stages::aggregation::run(&mut ctx, &mut **strategy, Arc::make_mut(global), quorum)?;
+        } else {
+            let decision = stages::aggregation::decide_streaming(
+                &mut ctx,
+                &mut **strategy,
+                collect.training.global,
+                quorum,
+                metas,
+                shard_size,
+                |ids| collect.replay(round, ids),
+            )?;
+            if let Some(decision) = decision {
+                let global = Arc::make_mut(global);
+                stages::aggregation::install(&mut ctx, &mut **strategy, global, decision)?;
+            }
+        }
         phases.aggregation_ns = span.done();
 
         let span = Span::begin(tracer, "round.evaluation");
-        let (test, batch) = (&self.test, self.config.eval_batch);
-        stages::evaluation::run(&mut ctx, self.factory, &self.global, test, batch)?;
+        if let ClientSource::Datasets { test, .. } = source {
+            stages::evaluation::run(&mut ctx, *factory, global, test, config.eval_batch)?;
+        }
         phases.evaluation_ns = span.done();
 
-        let round_duration = self
-            .latency
+        let round_duration = latency
             .as_deref()
-            .map(|m| m.round_duration_capped(&ctx.slowdowns, ctx.round, self.fault_policy.deadline))
+            .map(|m| m.round_duration_capped(&ctx.slowdowns, round, fault_policy.deadline))
             .unwrap_or(0.0);
         self.sim_time += round_duration;
         // Close the whole-round span last; `total_ns` is measured by its
         // own Instant, so `phases.phase_sum_ns() <= phases.total_ns` holds.
-        phases.total_ns = round_span.finish(round_fields(tracer, &ctx));
-        emit_ops_counter(tracer, ctx.round, &ops_before);
+        phases.total_ns = round_span.finish(round_fields(tracer, &ctx, aggregated));
+        emit_ops_counter(tracer, round, &ops_before);
 
         let record = ctx.into_record(phases, round_duration, self.sim_time);
         self.history.records.push(record.clone());
@@ -419,10 +539,55 @@ impl<'a> Simulation<'a> {
     }
 }
 
+/// What one round's training, delivery and validation stages read.
+struct Collect<'r> {
+    training: TrainingEnv<'r>,
+    delivery: DeliveryEnv<'r>,
+    executor: ClientExecutor,
+    max_param_norm: Option<f32>,
+}
+
+impl Collect<'_> {
+    /// Train, deliver and validate `chunk` into `ctx.updates`, adding each
+    /// stage's wall time to `phases`.
+    fn chunk<'i>(
+        &self,
+        ctx: &mut stages::RoundContext,
+        chunk: &[usize],
+        interceptor: Option<&mut (dyn Interceptor + 'i)>,
+        tracer: &dyn Tracer,
+        phases: &mut PhaseTimings,
+    ) -> Result<()> {
+        let span = Span::begin(tracer, "round.training");
+        stages::training::run(ctx, chunk, &self.training, self.executor);
+        phases.training_ns += span.finish(training_fields(tracer, chunk.len()));
+
+        let span = Span::begin(tracer, "round.delivery");
+        stages::delivery::run(ctx, &self.delivery, interceptor)?;
+        phases.delivery_ns += span.done();
+
+        let span = Span::begin(tracer, "round.validation");
+        stages::validation::run(ctx, self.training.global.len(), self.max_param_norm);
+        phases.validation_ns += span.done();
+        Ok(())
+    }
+
+    /// Pass 2 of the streaming protocol: replay `ids` through the same
+    /// stages and return their validated updates in order. Clients are pure
+    /// functions of `(seed, round, id)` and the codec is deterministic, so
+    /// these are the pass-1 updates; the replay is neither billed nor
+    /// recorded, and its time counts as aggregation.
+    fn replay(&self, round: usize, ids: &[usize]) -> Result<Vec<LocalUpdate>> {
+        let mut replay = stages::RoundContext::new(round);
+        self.chunk(&mut replay, ids, None, &NoopTracer, &mut PhaseTimings::default())?;
+        Ok(replay.updates)
+    }
+}
+
 /// Span fields for the training phase (only built when the tracer listens).
-fn training_fields(tracer: &dyn Tracer, ctx: &stages::RoundContext) -> Vec<(String, Value)> {
+fn training_fields(tracer: &dyn Tracer, clients: usize) -> Vec<(String, Value)> {
     if tracer.enabled() {
-        vec![("clients".to_string(), Value::from(ctx.participants.len()))]
+        vec![("clients".to_string(), Value::from(clients))]
     } else {
         Vec::new()
     }
@@ -430,14 +595,18 @@ fn training_fields(tracer: &dyn Tracer, ctx: &stages::RoundContext) -> Vec<(Stri
 
 /// Span fields for the whole-round span (only built when the tracer
 /// listens).
-fn round_fields(tracer: &dyn Tracer, ctx: &stages::RoundContext) -> Vec<(String, Value)> {
+fn round_fields(
+    tracer: &dyn Tracer,
+    ctx: &stages::RoundContext,
+    aggregated: usize,
+) -> Vec<(String, Value)> {
     if !tracer.enabled() {
         return Vec::new();
     }
     vec![
         ("round".to_string(), Value::from(ctx.round)),
         ("participants".to_string(), Value::from(ctx.participants.len())),
-        ("aggregated".to_string(), Value::from(ctx.surviving())),
+        ("aggregated".to_string(), Value::from(aggregated)),
         ("accuracy".to_string(), Value::from(ctx.test_accuracy)),
         ("rejected".to_string(), Value::from(ctx.rejected)),
         ("bytes_down".to_string(), Value::from(ctx.bytes_down)),

@@ -1,58 +1,26 @@
-//! The streaming sharded round driver (DESIGN.md §14).
+//! The million-client entry point (DESIGN.md §14), kept as a thin facade.
 //!
-//! [`crate::Simulation`] materializes every sampled client's [`LocalUpdate`]
-//! in `RoundContext` before aggregating — O(cohort · dim) memory, the
-//! ROADMAP's blocker to million-client rounds. [`ShardedSimulation`] runs
-//! the same round in two passes over the cohort's shards so no more than
-//! one shard's updates exist at a time:
+//! [`ShardedSimulation`] is a [`Simulation`] over a procedural
+//! [`Population`] ([`Simulation::over_population`]): the same round driver,
+//! stages and fault handling, with the two-pass streaming aggregation for
+//! cohorts larger than one shard. This module maps [`ShardedConfig`] onto
+//! that driver and projects each [`crate::RoundRecord`] into a
+//! [`ShardedRoundRecord`]; it holds no round logic of its own.
 //!
-//! * **Pass 1 (scalar harvest).** Each shard trains its clients (scheduled
-//!   by the [`ClientExecutor`]), validates the results, and folds the
-//!   survivors into a [`ShardAccumulator`] — scalar metadata only, the
-//!   parameter vectors are dropped on the spot. [`merge_shards`] then
-//!   concatenates the accumulators in ascending shard index, which is
-//!   exactly cohort order: the merged metadata sequence is the one the
-//!   materialized path would have seen.
-//! * **Weights.** The strategy answers the scalar-only
-//!   [`Strategy::streaming_weights`] query on the merged sequence. FedCav's
-//!   clip-at-mean pre-pass needs every loss before any weight exists —
-//!   which is why weights happen *between* the passes, not inside pass 1 —
-//!   and its detection can reject the round here, skipping pass 2 entirely.
-//! * **Pass 2 (parameter fold).** Every client is a pure function of
-//!   `(seed, round, client)` and its dataset a pure function of the
-//!   [`Population`], so the surviving updates are *regenerated* shard by
-//!   shard and folded through one [`ParamFold`] accumulator — the running
-//!   `Σ w_i · p_i`, replicating `weighted_sum`'s operation order so the
-//!   result is bit-identical to the materialized aggregation.
-//!
-//! A strategy that cannot weight from scalars alone (`Ok(None)`) falls back
-//! to a materialized aggregate over regenerated updates — correct, but
-//! O(cohort · dim) again; the fallback exists so every [`Strategy`] works,
-//! not so it scales.
-//!
-//! This driver deliberately omits the latency/deadline machinery and
-//! per-round test evaluation of [`crate::Simulation`] — it is the scale
-//! substrate, not the experiment harness. Faults, validation quarantine,
-//! quorum degradation and detection-reject all behave identically.
-//!
-//! Everything here is on the `no-panic-in-round-loop` lint path.
+//! It also hosts [`sample_cohort`], the O(cohort) sampler a population
+//! source draws its cohorts with.
 
-use crate::client::{local_update, LocalConfig};
-use crate::comm::{CommModel, CommStats};
+use crate::client::LocalConfig;
+use crate::comm::CommStats;
 use crate::executor::ClientExecutor;
-use crate::faults::{apply_fault, FaultModel, InjectedFault};
-use crate::metrics::{FaultEvent, FaultEventKind, FaultTelemetry};
+use crate::faults::FaultModel;
+use crate::metrics::FaultTelemetry;
 use crate::population::Population;
-use crate::server::ModelFactory;
-use crate::stages::aggregation::{install, merge_shards, ParamFold, ShardAccumulator};
-use crate::stages::training::{derive_seed, CORRUPTION_STREAM};
-use crate::stages::{ClientOutcome, RoundContext as PipelineContext};
-use crate::strategy::{Aggregation, RoundContext as StrategyContext, Strategy, WeightDecision};
+use crate::server::{FaultPolicy, ModelFactory, Simulation, SimulationConfig};
+use crate::strategy::Strategy;
 use crate::transport::UpdateTransport;
-use crate::update::LocalUpdate;
 use fedcav_nn::wire::CodecSpec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashSet;
 
 /// Configuration of a sharded deployment.
@@ -87,7 +55,7 @@ impl Default for ShardedConfig {
     }
 }
 
-/// What the sharded driver records after each round.
+/// What a [`ShardedSimulation`] records after each round.
 #[derive(Debug, Clone)]
 pub struct ShardedRoundRecord {
     /// Communication round index (0-based).
@@ -147,74 +115,13 @@ pub fn sample_cohort<R: Rng>(n: usize, q: f64, rng: &mut R) -> Vec<usize> {
     cohort
 }
 
-/// The deployment state one shard's worker threads read (the sharded
-/// counterpart of [`crate::stages::training::TrainingEnv`], with the
-/// dataset vector replaced by the population recipe).
-struct ShardEnv<'b> {
-    factory: &'b ModelFactory,
-    global: &'b [f32],
-    population: &'b Population,
-    local: LocalConfig,
-    seed: u64,
-    fault_model: Option<&'b dyn FaultModel>,
-}
-
-/// One client's round, mirroring `stages::training::train_one` exactly —
-/// same fault injection, same seed derivations, same outcome taxonomy —
-/// with the dataset materialized from the population instead of indexed
-/// from a vector. Purity in `(seed, round, cid)` is what lets pass 2 replay
-/// pass 1 bit-for-bit.
-fn train_one(
-    env: &ShardEnv<'_>,
-    round: usize,
-    cid: usize,
-) -> (usize, Option<InjectedFault>, ClientOutcome) {
-    let fault = env.fault_model.and_then(|m| m.inject(env.seed, round, cid));
-    if matches!(fault, Some(InjectedFault::Crash)) {
-        return (cid, fault, ClientOutcome::Crashed);
-    }
-    let dataset = match env.population.materialize(cid) {
-        Ok(d) => d,
-        Err(_) => {
-            return (cid, fault, ClientOutcome::Failed(format!("unknown client id {cid}")));
-        }
-    };
-    let trained = local_update(
-        env.factory,
-        env.global,
-        cid,
-        &dataset,
-        &env.local,
-        derive_seed(env.seed, round, cid),
-    );
-    match trained {
-        Ok(mut update) => {
-            if let Some(f) = fault {
-                apply_fault(f, &mut update, derive_seed(env.seed ^ CORRUPTION_STREAM, round, cid));
-            }
-            (cid, fault, ClientOutcome::Arrived(update))
-        }
-        Err(e) => (cid, fault, ClientOutcome::Failed(e.to_string())),
-    }
-}
-
-/// A federated deployment over a procedural [`Population`], aggregated via
-/// the two-pass streaming shard protocol. Peak memory per round is
-/// O(shard_size · dim + cohort) — independent of the deployment size `n`.
+/// A federated deployment over a procedural [`Population`]: a
+/// [`Simulation::over_population`] configured from a [`ShardedConfig`].
+/// Peak memory per round is O(shard_size · dim + cohort) — independent of
+/// the deployment size `n`.
 pub struct ShardedSimulation<'a> {
-    factory: &'a ModelFactory,
-    population: Population,
-    strategy: Box<dyn Strategy + 'a>,
-    fault_model: Option<Box<dyn FaultModel + 'a>>,
-    executor: ClientExecutor,
-    transport: Option<UpdateTransport>,
-    config: ShardedConfig,
-    global: Vec<f32>,
-    round: usize,
-    rng: StdRng,
+    sim: Simulation<'a>,
     records: Vec<ShardedRoundRecord>,
-    comm_model: CommModel,
-    comm_stats: CommStats,
 }
 
 impl<'a> ShardedSimulation<'a> {
@@ -227,77 +134,76 @@ impl<'a> ShardedSimulation<'a> {
         strategy: Box<dyn Strategy + 'a>,
         config: ShardedConfig,
     ) -> Self {
-        let global = factory().flat_params();
-        let rng = StdRng::seed_from_u64(config.seed);
-        let comm_model = CommModel::new(global.len());
-        ShardedSimulation {
+        let sim_config = SimulationConfig {
+            sample_ratio: config.sample_ratio,
+            local: config.local,
+            seed: config.seed,
+            ..SimulationConfig::default()
+        };
+        let mut sim = Simulation::over_population(
             factory,
             population,
+            config.shard_size,
             strategy,
-            fault_model: None,
-            executor: ClientExecutor::from_env(),
-            transport: None,
-            config,
-            global,
-            round: 0,
-            rng,
-            records: Vec::new(),
-            comm_model,
-            comm_stats: CommStats::default(),
-        }
+            sim_config,
+        );
+        sim.set_fault_policy(FaultPolicy {
+            min_quorum: config.min_quorum,
+            max_param_norm: config.max_param_norm,
+            ..FaultPolicy::default()
+        });
+        ShardedSimulation { sim, records: Vec::new() }
     }
 
     /// Install a fault model (default: none). Returns `&mut self`.
     pub fn set_fault_model(&mut self, model: Box<dyn FaultModel + 'a>) -> &mut Self {
-        self.fault_model = Some(model);
+        self.sim.set_fault_model(model);
         self
     }
 
     /// Choose the client executor. Returns `&mut self`.
     pub fn set_executor(&mut self, executor: ClientExecutor) -> &mut Self {
-        self.executor = executor;
+        self.sim.set_executor(executor);
         self
     }
 
-    /// Install a compressed update transport: every pass-1 arrival is run
-    /// through the codec before validation (and re-decoded identically in
-    /// pass 2 — the codec is deterministic), and the round bills the
-    /// *encoded* frame bytes. Returns `&mut self`.
+    /// Install a compressed update transport (see
+    /// [`Simulation::set_transport`]). Returns `&mut self`.
     pub fn set_transport(&mut self, transport: UpdateTransport) -> &mut Self {
-        self.transport = Some(transport);
+        self.sim.set_transport(transport);
         self
     }
 
-    /// Build and install the transport for a codec spec, deriving the
-    /// per-tensor layout from a fresh factory model. Returns `&mut self`.
+    /// Build and install the transport for a codec spec (see
+    /// [`Simulation::set_codec`]). Returns `&mut self`.
     pub fn set_codec(&mut self, spec: CodecSpec) -> &mut Self {
-        let layout = (self.factory)().param_layout();
-        self.set_transport(UpdateTransport::new(spec, &layout))
+        self.sim.set_codec(spec);
+        self
     }
 
     /// The installed transport, if any.
     pub fn transport(&self) -> Option<&UpdateTransport> {
-        self.transport.as_ref()
+        self.sim.transport()
     }
 
     /// Cumulative traffic over all rounds run so far.
     pub fn comm_stats(&self) -> CommStats {
-        self.comm_stats
+        self.sim.comm_stats()
     }
 
     /// Current global model parameters.
     pub fn global(&self) -> &[f32] {
-        &self.global
+        self.sim.global()
     }
 
     /// Number of clients in the deployment.
     pub fn n_clients(&self) -> usize {
-        self.population.n()
+        self.sim.n_clients()
     }
 
     /// Strategy name (for experiment output).
     pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
+        self.sim.strategy_name()
     }
 
     /// Records of the rounds run so far, in order.
@@ -305,204 +211,24 @@ impl<'a> ShardedSimulation<'a> {
         &self.records
     }
 
-    /// Run one round through the two-pass shard protocol.
+    /// Run one round.
     pub fn run_round(&mut self) -> crate::Result<ShardedRoundRecord> {
-        let n = self.population.n();
-        let round = self.round;
-        let cohort = sample_cohort(n, self.config.sample_ratio, &mut self.rng);
-        let shard_size = self.config.shard_size.max(1);
-        let expected_len = self.global.len();
-        let max_norm = self.config.max_param_norm;
-
-        let mut ctx = PipelineContext::new(round);
-        ctx.participants = cohort;
-
-        // FedProx-style strategies inject their μ into local training, same
-        // as the materialized driver.
-        let strategy_mu = self.strategy.prox_mu();
-        let local = LocalConfig {
-            prox_mu: if strategy_mu > 0.0 { strategy_mu } else { self.config.local.prox_mu },
-            ..self.config.local
+        let r = self.sim.run_round()?;
+        let record = ShardedRoundRecord {
+            round: r.round,
+            clients: self.sim.n_clients(),
+            cohort: r.participants,
+            aggregated: r.aggregated(),
+            mean_inference_loss: r.mean_inference_loss,
+            max_inference_loss: r.max_inference_loss,
+            rejected: r.rejected,
+            reject_reason: r.reject_reason,
+            faults: r.faults,
+            bytes_down: r.bytes_down,
+            bytes_up: r.bytes_up,
         };
-        let env = ShardEnv {
-            factory: self.factory,
-            global: &self.global,
-            population: &self.population,
-            local,
-            seed: self.config.seed,
-            fault_model: self.fault_model.as_deref(),
-        };
-
-        // Pass 1: train shard by shard, keep scalar metadata, drop params.
-        // When a transport is installed, every physically-arrived upload is
-        // run through the wire codec here — before validation, mirroring
-        // the materialized driver's delivery stage — and bills its encoded
-        // frame bytes (a codec-rejected frame still crossed the network).
-        let transport = self.transport.as_ref();
-        let counts_loss = self.strategy.uses_inference_loss();
-        let mut frame_bytes: u64 = 0;
-        let mut shards = Vec::new();
-        for (shard_idx, chunk) in ctx.participants.chunks(shard_size).enumerate() {
-            let outcomes = self.executor.map(chunk, |&cid| train_one(&env, round, cid));
-            let mut acc = ShardAccumulator::new(shard_idx);
-            for (cid, _fault, outcome) in outcomes {
-                match outcome {
-                    ClientOutcome::Arrived(mut update) => {
-                        ctx.delivered += 1;
-                        let wire_ok = match transport {
-                            Some(t) => match t.apply(&mut update, env.global, counts_loss) {
-                                Ok(bytes) => {
-                                    frame_bytes += bytes;
-                                    true
-                                }
-                                Err(err) => {
-                                    frame_bytes += t.encoded_len(update.params.len(), counts_loss);
-                                    ctx.telemetry.record(FaultEvent {
-                                        client: cid,
-                                        kind: FaultEventKind::Quarantined,
-                                        detail: format!("wire codec rejected update: {err}"),
-                                    });
-                                    false
-                                }
-                            },
-                            None => true,
-                        };
-                        if wire_ok {
-                            match update.validate(expected_len, max_norm) {
-                                Ok(()) => acc.fold(&update),
-                                Err(defect) => ctx.telemetry.record(FaultEvent {
-                                    client: cid,
-                                    kind: FaultEventKind::Quarantined,
-                                    detail: defect.to_string(),
-                                }),
-                            }
-                        }
-                        // `update` drops here: the shard never accumulates
-                        // more than one in-flight parameter vector beyond
-                        // what the executor's workers hold.
-                    }
-                    ClientOutcome::Crashed => ctx.telemetry.record(FaultEvent {
-                        client: cid,
-                        kind: FaultEventKind::Dropped,
-                        detail: "client crashed".to_string(),
-                    }),
-                    ClientOutcome::Failed(msg) => ctx.telemetry.record(FaultEvent {
-                        client: cid,
-                        kind: FaultEventKind::Dropped,
-                        detail: msg,
-                    }),
-                }
-            }
-            shards.push(acc);
-        }
-        let metas = merge_shards(shards);
-
-        // Bill the round before the quorum check: a degraded round still
-        // moved its bytes. Pass 2 replays the same physical uploads, so
-        // only pass 1 bills.
-        ctx.bytes_down = self.comm_model.downlink(ctx.participants.len());
-        ctx.bytes_up = match transport {
-            Some(_) => self.comm_model.uplink_encoded(frame_bytes, ctx.delivered),
-            None => self.comm_model.uplink(ctx.delivered, counts_loss),
-        };
-        self.comm_stats.record(ctx.bytes_down, ctx.bytes_up);
-
-        // Loss statistics over the survivors, mirroring the validation
-        // stage (0.0, not -inf, on an empty round).
-        ctx.mean_inference_loss = if metas.is_empty() {
-            0.0
-        } else {
-            metas.iter().map(|m| m.inference_loss).sum::<f32>() / metas.len() as f32
-        };
-        let max_loss = metas.iter().map(|m| m.inference_loss).fold(f32::NEG_INFINITY, f32::max);
-        ctx.max_inference_loss = if max_loss.is_finite() { max_loss } else { 0.0 };
-
-        let quorum = self.config.min_quorum.max(1);
-        if metas.len() < quorum {
-            ctx.telemetry.degraded = true;
-            return Ok(self.close_round(ctx, metas.len()));
-        }
-
-        let decision = {
-            let sctx = StrategyContext { round, global: &self.global };
-            self.strategy.streaming_weights(&sctx, &metas)?
-        };
-        ctx.telemetry.tolerance_breach = self.strategy.take_breach();
-
-        match decision {
-            Some(WeightDecision::Reject { reverted, reason }) => {
-                // Scalar-side detection fired: pass 2 never runs.
-                install(
-                    &mut ctx,
-                    &mut *self.strategy,
-                    &mut self.global,
-                    Aggregation::Reject { reverted, reason },
-                )?;
-            }
-            Some(WeightDecision::Weights(weights)) => {
-                // Pass 2: regenerate the survivors in merge order and fold
-                // Σ w_i · p_i through one accumulator.
-                let survivors: Vec<usize> = metas.iter().map(|m| m.client_id).collect();
-                let mut fold = ParamFold::new(expected_len, weights, metas)?;
-                for chunk in survivors.chunks(shard_size) {
-                    let outcomes = self.executor.map(chunk, |&cid| train_one(&env, round, cid));
-                    for (_cid, _fault, outcome) in outcomes {
-                        // Clients are pure functions of (seed, round, id):
-                        // anything but an identical re-arrival means the
-                        // replay diverged, which ParamFold reports as an
-                        // alignment error below. The transport re-decodes
-                        // identically (the codec is deterministic), so the
-                        // folded params are the pass-1 decoded params.
-                        if let ClientOutcome::Arrived(mut update) = outcome {
-                            if let Some(t) = transport {
-                                if t.apply(&mut update, env.global, counts_loss).is_err() {
-                                    // A survivor decoded fine in pass 1;
-                                    // defensive only — ParamFold reports
-                                    // the resulting misalignment.
-                                    continue;
-                                }
-                            }
-                            fold.fold(&update)?;
-                        }
-                    }
-                }
-                let next = fold.finish()?;
-                install(
-                    &mut ctx,
-                    &mut *self.strategy,
-                    &mut self.global,
-                    Aggregation::Accept(next),
-                )?;
-            }
-            None => {
-                // Scalar weighting unsupported: materialized fallback over
-                // regenerated updates (O(cohort · dim) — correct, not
-                // scalable; see module docs).
-                let survivors: Vec<usize> = metas.iter().map(|m| m.client_id).collect();
-                let outcomes = self.executor.map(&survivors, |&cid| train_one(&env, round, cid));
-                let mut updates: Vec<LocalUpdate> = Vec::with_capacity(survivors.len());
-                for (_cid, _fault, outcome) in outcomes {
-                    if let ClientOutcome::Arrived(mut update) = outcome {
-                        if let Some(t) = transport {
-                            if t.apply(&mut update, env.global, counts_loss).is_err() {
-                                continue;
-                            }
-                        }
-                        if update.validate(expected_len, max_norm).is_ok() {
-                            updates.push(update);
-                        }
-                    }
-                }
-                let fallback = {
-                    let sctx = StrategyContext { round, global: &self.global };
-                    self.strategy.aggregate(&sctx, &updates)?
-                };
-                ctx.telemetry.tolerance_breach = self.strategy.take_breach();
-                install(&mut ctx, &mut *self.strategy, &mut self.global, fallback)?;
-            }
-        }
-        let aggregated = ctx.participants.len().saturating_sub(ctx.telemetry.total_lost());
-        Ok(self.close_round(ctx, aggregated))
+        self.records.push(record.clone());
+        Ok(record)
     }
 
     /// Run `rounds` rounds, returning the final record. `rounds == 0` is an
@@ -517,34 +243,20 @@ impl<'a> ShardedSimulation<'a> {
         }
         Ok(last)
     }
-
-    /// Fold the round context into the permanent record and advance.
-    fn close_round(&mut self, ctx: PipelineContext, aggregated: usize) -> ShardedRoundRecord {
-        let record = ShardedRoundRecord {
-            round: ctx.round,
-            clients: self.population.n(),
-            cohort: ctx.participants.len(),
-            aggregated,
-            mean_inference_loss: ctx.mean_inference_loss,
-            max_inference_loss: ctx.max_inference_loss,
-            rejected: ctx.rejected,
-            reject_reason: ctx.reject_reason,
-            faults: ctx.telemetry,
-            bytes_down: ctx.bytes_down,
-            bytes_up: ctx.bytes_up,
-        };
-        self.records.push(record.clone());
-        self.round += 1;
-        record
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::CommModel;
+    use crate::faults::InjectedFault;
     use crate::fedavg::FedAvg;
+    use crate::strategy::{Aggregation, RoundContext as StrategyContext};
+    use crate::update::LocalUpdate;
     use fedcav_data::{SyntheticConfig, SyntheticKind};
     use fedcav_nn::{models, Sequential};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn tiny_population(n: usize) -> Population {
         Population::new(n, 5, SyntheticConfig::new(SyntheticKind::MnistLike, 2, 1))

@@ -11,9 +11,19 @@
 //!   reverted parameters and call [`Strategy::on_reject`] so server-side
 //!   optimizer state accumulated from the rolled-back trajectory (e.g.
 //!   FedAvgM's velocity) is discarded too.
+//!
+//! A round whose updates were kept aggregates them in one call ([`run`]).
+//! A large cohort over a procedural population keeps only each survivor's
+//! scalar [`UpdateMeta`] and is decided by `decide_streaming`: the
+//! strategy's scalar-only weight query, then a second pass that regenerates
+//! the survivors shard by shard (every client is a pure function of
+//! `(seed, round, client)`) and folds `Σ w_i · p_i` through one
+//! [`ParamFold`] (DESIGN.md §14).
 
 use super::RoundContext;
-use crate::strategy::{Aggregation, RoundContext as StrategyContext, Strategy, UpdateMeta};
+use crate::strategy::{
+    Aggregation, RoundContext as StrategyContext, Strategy, UpdateMeta, WeightDecision,
+};
 use crate::update::LocalUpdate;
 use fedcav_tensor::{Result, TensorError};
 
@@ -27,9 +37,7 @@ pub fn run(
     global: &mut Vec<f32>,
     min_quorum: usize,
 ) -> Result<()> {
-    let quorum = min_quorum.max(1);
-    if ctx.updates.len() < quorum {
-        ctx.telemetry.degraded = true;
+    if !quorum_met(ctx, ctx.updates.len(), min_quorum) {
         return Ok(());
     }
     let decision = {
@@ -43,9 +51,76 @@ pub fn run(
     install(ctx, strategy, global, decision)
 }
 
+/// Decide a round whose parameter vectors were not kept: `metas` are the
+/// survivors' scalars in cohort order, and `regenerate(ids)` replays those
+/// clients through training, delivery and validation, returning their
+/// updates in the same order. Returns `None` on a quorum miss; the caller
+/// [`install`]s the decision.
+///
+/// The strategy's [`Strategy::streaming_weights`] either rejects the round
+/// from scalars alone (the second pass never runs), or gives weights that
+/// [`ParamFold`] applies to the survivors regenerated `shard_size` at a
+/// time. A strategy without scalar weights (`Ok(None)`) gets the
+/// regenerated cohort materialized and aggregated in one call: correct, but
+/// O(cohort · dim) memory again.
+pub(crate) fn decide_streaming(
+    ctx: &mut RoundContext,
+    strategy: &mut (dyn Strategy + '_),
+    global: &[f32],
+    min_quorum: usize,
+    metas: Vec<UpdateMeta>,
+    shard_size: usize,
+    mut regenerate: impl FnMut(&[usize]) -> Result<Vec<LocalUpdate>>,
+) -> Result<Option<Aggregation>> {
+    if !quorum_met(ctx, metas.len(), min_quorum) {
+        return Ok(None);
+    }
+    let sctx = StrategyContext { round: ctx.round, global };
+    let decision = strategy.streaming_weights(&sctx, &metas)?;
+    ctx.telemetry.tolerance_breach = strategy.take_breach();
+    let survivors: Vec<usize> = metas.iter().map(|m| m.client_id).collect();
+    let aggregation = match decision {
+        Some(WeightDecision::Reject { reverted, reason }) => {
+            Aggregation::Reject { reverted, reason }
+        }
+        Some(WeightDecision::Weights(weights)) => {
+            let mut fold = ParamFold::new(global.len(), weights, metas)?;
+            for chunk in survivors.chunks(shard_size.max(1)) {
+                for update in regenerate(chunk)? {
+                    fold.fold(&update)?;
+                }
+            }
+            Aggregation::Accept(fold.finish()?)
+        }
+        None => {
+            let updates = regenerate(&survivors)?;
+            if !updates.iter().map(|u| u.client_id).eq(survivors.iter().copied()) {
+                return Err(TensorError::ShapeMismatch {
+                    op: "decide_streaming (pass-2 replay diverged from pass 1)",
+                    lhs: survivors,
+                    rhs: updates.iter().map(|u| u.client_id).collect(),
+                });
+            }
+            let fallback = strategy.aggregate(&sctx, &updates)?;
+            ctx.telemetry.tolerance_breach = strategy.take_breach();
+            fallback
+        }
+    };
+    Ok(Some(aggregation))
+}
+
+/// Whether `survivors` meet the quorum (values below 1 count as 1); a miss
+/// marks the round degraded and the global model is held.
+fn quorum_met(ctx: &mut RoundContext, survivors: usize, min_quorum: usize) -> bool {
+    let met = survivors >= min_quorum.max(1);
+    if !met {
+        ctx.telemetry.degraded = true;
+    }
+    met
+}
+
 /// Install an aggregation decision: accept (replace the global model) or
 /// reject (install the reverted parameters and notify the strategy).
-/// Shared by the materialized [`run`] and the server's streaming driver.
 pub(crate) fn install(
     ctx: &mut RoundContext,
     strategy: &mut (dyn Strategy + '_),
@@ -81,78 +156,12 @@ pub(crate) fn install(
     Ok(())
 }
 
-// ------------------------------------------------------------------------
-// Streaming sharded aggregation (DESIGN.md §14).
-//
-// The constant-memory path never materializes the cohort's parameter
-// vectors in `RoundContext`. Pass 1 folds each shard's delivered updates
-// into a `ShardAccumulator` (scalar metadata only — the parameters are
-// dropped on the spot); the accumulators merge in a fixed shard order into
-// one metadata sequence, the strategy answers the scalar-only weight query
-// on it, and pass 2 regenerates the updates (every client is a pure
-// function of `(seed, round, client)`) folding `Σ w_i · p_i` through a
-// single `ParamFold` accumulator.
-
-/// Pass-1 accumulator for one shard: scalar metadata of the shard's
-/// surviving updates, in arrival (cohort) order. Parameter vectors are
-/// dropped as updates fold in — this is the memory contract of the
-/// streaming path.
-#[derive(Debug, Clone)]
-pub struct ShardAccumulator {
-    shard: usize,
-    metas: Vec<UpdateMeta>,
-}
-
-impl ShardAccumulator {
-    /// Empty accumulator for shard index `shard` (its position in the
-    /// fixed merge order).
-    pub fn new(shard: usize) -> Self {
-        ShardAccumulator { shard, metas: Vec::new() }
-    }
-
-    /// Fold one delivered update in, retaining only its scalar metadata.
-    pub fn fold(&mut self, update: &LocalUpdate) {
-        self.metas.push(UpdateMeta::of(update));
-    }
-
-    /// The shard's position in the fixed merge order.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Updates folded so far.
-    pub fn len(&self) -> usize {
-        self.metas.len()
-    }
-
-    /// Whether nothing survived in this shard.
-    pub fn is_empty(&self) -> bool {
-        self.metas.is_empty()
-    }
-}
-
-/// Merge shard accumulators into one metadata sequence in the **fixed
-/// deterministic shard order** (ascending shard index), regardless of the
-/// order the shards finished in. Within a shard, arrival order is cohort
-/// order, so the merged sequence is exactly the order the materialized
-/// path would have seen — which is what makes the streaming weights (and
-/// the pass-2 parameter fold) bit-identical to it under any shard size or
-/// completion schedule.
-pub fn merge_shards(mut shards: Vec<ShardAccumulator>) -> Vec<UpdateMeta> {
-    shards.sort_by_key(|s| s.shard);
-    let mut merged = Vec::with_capacity(shards.iter().map(|s| s.metas.len()).sum());
-    for shard in shards {
-        merged.extend(shard.metas);
-    }
-    merged
-}
-
 /// Pass-2 accumulator: the running weighted sum `Σ w_i · p_i` over one
 /// in-flight parameter vector at a time.
 ///
 /// The fold replicates [`crate::aggregate::weighted_sum`]'s operation
 /// order exactly — updates outer, coordinates inner, one f32 accumulator
-/// per coordinate — so feeding it the cohort's updates in merge order is
+/// per coordinate — so feeding it the cohort's updates in cohort order is
 /// bit-identical to the materialized call. Peak memory is the accumulator
 /// plus one update, independent of cohort size.
 #[derive(Debug, Clone)]
@@ -165,7 +174,7 @@ pub struct ParamFold {
 
 impl ParamFold {
     /// New fold over `dim`-length parameter vectors with per-update
-    /// `weights` aligned to `metas` (the merged pass-1 order). Errors when
+    /// `weights` aligned to `metas` (the pass-1 cohort order). Errors when
     /// the two disagree in length.
     pub fn new(dim: usize, weights: Vec<f32>, metas: Vec<UpdateMeta>) -> Result<Self> {
         if weights.len() != metas.len() {
@@ -362,32 +371,6 @@ mod tests {
         ctx.updates = vec![update(0, vec![1.0; 4])];
         let mut global = vec![0.5; 4];
         assert!(run(&mut ctx, &mut WrongLen, &mut global, 1).is_err());
-    }
-
-    #[test]
-    fn shard_accumulator_keeps_metadata_only() {
-        let mut acc = ShardAccumulator::new(3);
-        assert!(acc.is_empty());
-        acc.fold(&LocalUpdate::new(7, vec![1.0; 4], 0.25, 12));
-        acc.fold(&LocalUpdate::new(9, vec![2.0; 4], 0.5, 3));
-        assert_eq!(acc.shard(), 3);
-        assert_eq!(acc.len(), 2);
-        assert!(!acc.is_empty());
-    }
-
-    #[test]
-    fn merge_shards_restores_cohort_order_from_any_completion_order() {
-        // Shards finish out of order (2, 0, 1); the merge must still read
-        // as shard 0's clients, then 1's, then 2's.
-        let mut s0 = ShardAccumulator::new(0);
-        s0.fold(&LocalUpdate::new(10, vec![], 0.1, 1));
-        s0.fold(&LocalUpdate::new(11, vec![], 0.2, 1));
-        let s1 = ShardAccumulator::new(1); // everyone in shard 1 crashed
-        let mut s2 = ShardAccumulator::new(2);
-        s2.fold(&LocalUpdate::new(30, vec![], 0.3, 1));
-        let merged = merge_shards(vec![s2, s0, s1]);
-        let ids: Vec<usize> = merged.iter().map(|m| m.client_id).collect();
-        assert_eq!(ids, vec![10, 11, 30]);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! server still waits on them until it gives up.
 //!
 //! This stage also owns the §6 communication ledger and the adversarial
-//! interception seam, in that order: traffic is billed *before* the
-//! interceptor runs so adversarially added or removed updates cannot
-//! distort the ledger.
+//! interception seam. [`run`] may be called once per shard of the cohort;
+//! it only accumulates the billing inputs (`ctx.delivered`,
+//! `ctx.frame_bytes`), which the interceptor cannot touch, and [`bill`]
+//! closes the ledger once per round — so adversarially added or removed
+//! updates cannot distort it.
 
 use super::{ClientOutcome, RoundContext};
 use crate::comm::{CommModel, CommStats};
@@ -42,24 +44,20 @@ pub struct DeliveryEnv<'a> {
 }
 
 /// Drain `ctx.outcomes` into `ctx.updates`/`ctx.telemetry`, record straggler
-/// slowdowns, bill the round's traffic into `comm_stats`, then hand the
-/// surviving updates to the interceptor (the attack seam).
+/// slowdowns and the billing inputs, then hand the delivered updates to the
+/// interceptor (the attack seam).
 ///
-/// The §6 accounting counts `ctx.delivered` — every upload that physically
-/// reached the server, including ones immediately timed out (and ones later
-/// quarantined): the bytes were spent. Only crashed/failed clients sent
-/// nothing.
+/// `ctx.delivered` counts every upload that physically reached the server,
+/// including ones immediately timed out (and ones later quarantined): the
+/// bytes were spent. Only crashed/failed clients sent nothing.
 pub fn run<'a>(
     ctx: &mut RoundContext,
-    env: DeliveryEnv<'_>,
-    comm_stats: &mut CommStats,
+    env: &DeliveryEnv<'_>,
     interceptor: Option<&mut (dyn Interceptor + 'a)>,
 ) -> Result<()> {
     let outcomes = std::mem::take(&mut ctx.outcomes);
     ctx.slowdowns.reserve(outcomes.len());
     ctx.updates.reserve(outcomes.len());
-    // Encoded uplink bytes actually spent this round (transport mode only).
-    let mut frame_bytes: u64 = 0;
     for (cid, fault, outcome) in outcomes {
         let slowdown = slowdown_of(fault);
         ctx.slowdowns.push((cid, slowdown));
@@ -78,7 +76,7 @@ pub fn run<'a>(
                         // The upload was fully transmitted before the
                         // deadline verdict: bill its nominal encoded frame.
                         if let Some(t) = env.transport {
-                            frame_bytes += t.encoded_len(update.params.len(), env.counts_loss);
+                            ctx.frame_bytes += t.encoded_len(update.params.len(), env.counts_loss);
                         }
                         ctx.telemetry.record(FaultEvent {
                             client: cid,
@@ -89,12 +87,12 @@ pub fn run<'a>(
                     None => match env.transport {
                         Some(t) => match t.apply(&mut update, env.global, env.counts_loss) {
                             Ok(bytes) => {
-                                frame_bytes += bytes;
+                                ctx.frame_bytes += bytes;
                                 ctx.updates.push(update);
                             }
                             Err(err) => {
                                 // A garbage frame still crossed the network.
-                                frame_bytes +=
+                                ctx.frame_bytes +=
                                     t.encoded_len(update.params.len(), env.counts_loss);
                                 ctx.telemetry.record(FaultEvent {
                                     client: cid,
@@ -120,17 +118,22 @@ pub fn run<'a>(
         }
     }
 
-    ctx.bytes_down = env.comm.downlink(ctx.participants.len());
-    ctx.bytes_up = match env.transport {
-        Some(_) => env.comm.uplink_encoded(frame_bytes, ctx.delivered),
-        None => env.comm.uplink(ctx.delivered, env.counts_loss),
-    };
-    comm_stats.record(ctx.bytes_down, ctx.bytes_up);
-
     if let Some(interceptor) = interceptor {
         interceptor.intercept(ctx.round, env.global, &mut ctx.updates)?;
     }
     Ok(())
+}
+
+/// Close the round's §6 ledger: one downlink per sampled participant, and
+/// the uplink of every delivered upload (its encoded frame when a
+/// transport is installed), recorded into `comm_stats`.
+pub fn bill(ctx: &mut RoundContext, env: &DeliveryEnv<'_>, comm_stats: &mut CommStats) {
+    ctx.bytes_down = env.comm.downlink(ctx.participants.len());
+    ctx.bytes_up = match env.transport {
+        Some(_) => env.comm.uplink_encoded(ctx.frame_bytes, ctx.delivered),
+        None => env.comm.uplink(ctx.delivered, env.counts_loss),
+    };
+    comm_stats.record(ctx.bytes_down, ctx.bytes_up);
 }
 
 #[cfg(test)]
@@ -167,8 +170,7 @@ mod tests {
             (1, None, ClientOutcome::Crashed),
             (2, None, ClientOutcome::Failed("oom".to_string())),
         ];
-        let mut stats = CommStats::default();
-        run(&mut ctx, env_no_latency(&global), &mut stats, None).unwrap();
+        run(&mut ctx, &env_no_latency(&global), None).unwrap();
         assert_eq!(ctx.updates.len(), 1);
         assert_eq!(ctx.delivered, 1);
         assert_eq!(ctx.telemetry.dropped, 2);
@@ -192,8 +194,8 @@ mod tests {
             global: &global,
             transport: None,
         };
-        let mut stats = CommStats::default();
-        run(&mut ctx, env, &mut stats, None).unwrap();
+        run(&mut ctx, &env, None).unwrap();
+        bill(&mut ctx, &env, &mut CommStats::default());
         assert_eq!(ctx.telemetry.timed_out, 1);
         assert_eq!(ctx.updates.len(), 1);
         // The straggler's upload still physically happened.
@@ -221,7 +223,9 @@ mod tests {
         ctx.outcomes = vec![arrived(0, 0.5), arrived(1, 0.5)];
         let mut stats = CommStats::default();
         let mut interceptor = SwallowAll;
-        run(&mut ctx, env_no_latency(&global), &mut stats, Some(&mut interceptor)).unwrap();
+        let env = env_no_latency(&global);
+        run(&mut ctx, &env, Some(&mut interceptor)).unwrap();
+        bill(&mut ctx, &env, &mut stats);
         assert!(ctx.updates.is_empty(), "the interceptor swallowed everything");
         assert_eq!(ctx.bytes_up, CommModel::new(4).uplink(2, false), "…but the bytes were spent");
         assert_eq!(stats.total_up, ctx.bytes_up);
@@ -238,7 +242,8 @@ mod tests {
         let mut env = env_no_latency(&global);
         env.transport = Some(&transport);
         let mut stats = CommStats::default();
-        run(&mut ctx, env, &mut stats, None).unwrap();
+        run(&mut ctx, &env, None).unwrap();
+        bill(&mut ctx, &env, &mut stats);
         assert_eq!(ctx.updates.len(), 2);
         let expected = 2 * (transport.encoded_len(4, false) + 24);
         assert_eq!(ctx.bytes_up, expected, "uplink = encoded frames + envelopes");
@@ -254,12 +259,11 @@ mod tests {
         ctx.participants = vec![0, 1];
         let mut poisoned = LocalUpdate::new(1, vec![0.0, f32::NAN, 0.0, 0.0], 0.5, 10);
         poisoned.params[1] = f32::NAN;
-        ctx.outcomes =
-            vec![arrived(0, 0.5), (1, None, ClientOutcome::Arrived(poisoned))];
+        ctx.outcomes = vec![arrived(0, 0.5), (1, None, ClientOutcome::Arrived(poisoned))];
         let mut env = env_no_latency(&global);
         env.transport = Some(&transport);
-        let mut stats = CommStats::default();
-        run(&mut ctx, env, &mut stats, None).unwrap();
+        run(&mut ctx, &env, None).unwrap();
+        bill(&mut ctx, &env, &mut CommStats::default());
         assert_eq!(ctx.updates.len(), 1, "rejected frame never reaches aggregation");
         assert_eq!(ctx.telemetry.quarantined, 1);
         assert_eq!(ctx.delivered, 2);
@@ -281,7 +285,9 @@ mod tests {
         ctx.participants = vec![0, 1, 2];
         ctx.outcomes = vec![arrived(0, 0.5), arrived(1, 0.5), arrived(2, 0.5)];
         let mut stats = CommStats::default();
-        run(&mut ctx, env_no_latency(&global), &mut stats, None).unwrap();
+        let env = env_no_latency(&global);
+        run(&mut ctx, &env, None).unwrap();
+        bill(&mut ctx, &env, &mut stats);
         assert_eq!(ctx.bytes_down, CommModel::new(4).downlink(3));
         assert_eq!(stats.total_down, ctx.bytes_down);
         assert_eq!(Arc::strong_count(&global), 1, "delivery takes no ownership of the broadcast");

@@ -1,10 +1,8 @@
 //! The staged round pipeline.
 //!
-//! `Simulation::run_round` used to be one ~290-line function interleaving
-//! the six phases FedCav's Algorithm 1 separates. It is now a thin driver
-//! over six stage modules, each a free function with narrow, explicit
-//! inputs so it can be exercised in isolation against a hand-built
-//! [`RoundContext`]:
+//! `Simulation::run_round` is a thin driver over six stage modules, each a
+//! free function with narrow, explicit inputs so it can be exercised in
+//! isolation against a hand-built [`RoundContext`]:
 //!
 //! 1. [`sampling`] — availability query + cohort sampling,
 //! 2. [`training`] — per-client local training (fault injection included),
@@ -13,7 +11,13 @@
 //!    accounting, adversarial interception,
 //! 4. [`validation`] — server-side quarantine of defective updates,
 //! 5. [`aggregation`] — strategy aggregate / reject / quorum degradation,
+//!    or the two-pass streaming aggregate of a large cohort,
 //! 6. [`evaluation`] — test-set evaluation of the new global model.
+//!
+//! Training, delivery and validation may run once per *shard* of the
+//! cohort: the driver feeds them one chunk of participants at a time and
+//! closes billing ([`delivery::bill`]) and loss statistics
+//! ([`validation::close`]) once per round (DESIGN.md §14).
 //!
 //! **Ownership rules.** The [`RoundContext`] owns everything produced
 //! *within* the round (cohort, outcomes, updates, telemetry, metrics); the
@@ -83,6 +87,9 @@ pub struct RoundContext {
     /// How many uploads physically reached the server, including ones later
     /// timed out or quarantined — this is what uplink billing counts.
     pub delivered: usize,
+    /// Encoded frame bytes of those uploads, when a wire transport is
+    /// installed (delivery) — the other uplink billing input.
+    pub frame_bytes: u64,
     /// Dropped / quarantined / timed-out contributions and quorum state.
     pub telemetry: FaultTelemetry,
     /// Bytes the server pushed this round (delivery).
@@ -115,13 +122,16 @@ impl RoundContext {
     }
 
     /// Close out the round: fold the pipeline state into the permanent
-    /// [`RoundRecord`] (the driver supplies the timings it measured).
+    /// [`RoundRecord`] (the driver supplies the timings it measured). Fault
+    /// events are put in participant order — delivery and validation record
+    /// them shard by shard, and the order must not depend on the sharding.
     pub fn into_record(
-        self,
+        mut self,
         phases: PhaseTimings,
         round_duration: f64,
         sim_time: f64,
     ) -> RoundRecord {
+        self.telemetry.events.sort_by_key(|e| e.client);
         RoundRecord {
             round: self.round,
             test_accuracy: self.test_accuracy,

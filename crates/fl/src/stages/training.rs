@@ -11,13 +11,20 @@
 //! [`ClientExecutor`] may therefore run participants in any order on any
 //! number of threads — outcomes land in cohort order regardless, which is
 //! what makes parallel execution bit-identical to sequential.
+//!
+//! The same purity lets a client's data come from either source of
+//! [`Clients`]: a live dataset, or a [`Population`] that regenerates it
+//! bit-for-bit on every call — which is what lets the streaming round
+//! replay a client in its second pass (DESIGN.md §14).
 
 use super::{ClientOutcome, RoundContext};
 use crate::client::{local_update, LocalConfig};
 use crate::executor::ClientExecutor;
 use crate::faults::{apply_fault, FaultModel, InjectedFault};
+use crate::population::Population;
 use crate::server::ModelFactory;
 use fedcav_data::Dataset;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Seed salt separating the corruption-value stream from the training
@@ -35,6 +42,29 @@ pub fn derive_seed(master: u64, round: usize, client: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Where the training stage finds a client's local data.
+#[derive(Debug, Clone, Copy)]
+pub enum Clients<'a> {
+    /// Live datasets, indexed by client id.
+    Datasets(&'a [Dataset]),
+    /// A procedural population: a client's dataset is generated when it
+    /// trains and dropped when it is done.
+    Population(&'a Population),
+}
+
+impl Clients<'_> {
+    /// Client `cid`'s dataset. An id outside the deployment is an error
+    /// message (the client fails), never a panic.
+    fn dataset(&self, cid: usize) -> Result<Cow<'_, Dataset>, String> {
+        match self {
+            Clients::Datasets(all) => {
+                all.get(cid).map(Cow::Borrowed).ok_or_else(|| format!("unknown client id {cid}"))
+            }
+            Clients::Population(p) => p.materialize(cid).map(Cow::Owned).map_err(|e| e.to_string()),
+        }
+    }
+}
+
 /// The deployment state the training stage reads: shared across worker
 /// threads, owned by the driver. Everything here is immutable for the
 /// duration of the stage.
@@ -47,8 +77,8 @@ pub struct TrainingEnv<'a> {
     /// The §6 ledger still bills the downlink per client — the simulated
     /// network sent `n` copies even though the simulator holds one.
     pub global: &'a Arc<Vec<f32>>,
-    /// All client datasets, indexed by client id.
-    pub clients: &'a [Dataset],
+    /// Every client's local data, by client id.
+    pub clients: Clients<'a>,
     /// Local-training hyper-parameters, with any strategy μ already merged.
     pub local: LocalConfig,
     /// The master seed.
@@ -57,12 +87,17 @@ pub struct TrainingEnv<'a> {
     pub fault_model: Option<&'a dyn FaultModel>,
 }
 
-/// Train the cohort in `ctx.participants`, filling `ctx.outcomes` in cohort
-/// order. The executor only decides scheduling; see the module docs for why
-/// results cannot depend on it.
-pub fn run(ctx: &mut RoundContext, env: &TrainingEnv<'_>, executor: ClientExecutor) {
+/// Train `cohort` (all of `ctx.participants`, or one shard of it), filling
+/// `ctx.outcomes` in cohort order. The executor only decides scheduling;
+/// see the module docs for why results cannot depend on it.
+pub fn run(
+    ctx: &mut RoundContext,
+    cohort: &[usize],
+    env: &TrainingEnv<'_>,
+    executor: ClientExecutor,
+) {
     let round = ctx.round;
-    ctx.outcomes = executor.map(&ctx.participants, |&cid| train_one(env, round, cid));
+    ctx.outcomes = executor.map(cohort, |&cid| train_one(env, round, cid));
 }
 
 /// One client's round: inject any fault, train locally, corrupt the payload
@@ -77,10 +112,11 @@ fn train_one(
     if matches!(fault, Some(InjectedFault::Crash)) {
         return (cid, fault, ClientOutcome::Crashed);
     }
-    let Some(dataset) = env.clients.get(cid) else {
-        // An availability model returning an out-of-range id is a model
-        // bug; treat it as a failed client, not a panic.
-        return (cid, fault, ClientOutcome::Failed(format!("unknown client id {cid}")));
+    // An availability model returning an out-of-range id is a model bug;
+    // treat it as a failed client, not a panic.
+    let dataset = match env.clients.dataset(cid) {
+        Ok(d) => d,
+        Err(msg) => return (cid, fault, ClientOutcome::Failed(msg)),
     };
     // The client's download: an Arc clone of the broadcast buffer, shared
     // with every other participant in the cohort.
@@ -89,7 +125,7 @@ fn train_one(
         env.factory,
         &download,
         cid,
-        dataset,
+        &dataset,
         &env.local,
         derive_seed(env.seed, round, cid),
     );
@@ -139,15 +175,14 @@ mod tests {
         let env = TrainingEnv {
             factory: &factory,
             global: &global,
-            clients: &clients,
+            clients: Clients::Datasets(&clients),
             local: LocalConfig { epochs: 1, batch_size: 8, lr: 0.05, prox_mu: 0.0 },
             seed: 3,
             fault_model: None,
         };
         let run_with = |executor: ClientExecutor| {
             let mut ctx = RoundContext::new(0);
-            ctx.participants = vec![0, 1];
-            run(&mut ctx, &env, executor);
+            run(&mut ctx, &[0, 1], &env, executor);
             ctx.outcomes
         };
         let seq = run_with(ClientExecutor::Sequential);
@@ -172,15 +207,14 @@ mod tests {
         let env = TrainingEnv {
             factory: &factory,
             global: &global,
-            clients: &clients,
+            clients: Clients::Datasets(&clients),
             local: LocalConfig { epochs: 1, batch_size: 8, lr: 0.05, prox_mu: 0.0 },
             seed: 3,
             fault_model: None,
         };
         assert_eq!(Arc::strong_count(&global), 1);
         let mut ctx = RoundContext::new(0);
-        ctx.participants = vec![0, 1];
-        run(&mut ctx, &env, ClientExecutor::Sequential);
+        run(&mut ctx, &[0, 1], &env, ClientExecutor::Sequential);
         assert_eq!(Arc::strong_count(&global), 1, "downloads must not outlive the stage");
         assert!(ctx.outcomes.iter().all(|(_, _, o)| matches!(o, ClientOutcome::Arrived(_))));
     }
@@ -192,14 +226,13 @@ mod tests {
         let env = TrainingEnv {
             factory: &factory,
             global: &global,
-            clients: &clients,
+            clients: Clients::Datasets(&clients),
             local: LocalConfig { epochs: 1, batch_size: 8, lr: 0.05, prox_mu: 0.0 },
             seed: 3,
             fault_model: None,
         };
         let mut ctx = RoundContext::new(0);
-        ctx.participants = vec![0, 99];
-        run(&mut ctx, &env, ClientExecutor::Sequential);
+        run(&mut ctx, &[0, 99], &env, ClientExecutor::Sequential);
         assert!(matches!(ctx.outcomes[0].2, ClientOutcome::Arrived(_)));
         match &ctx.outcomes[1].2 {
             ClientOutcome::Failed(msg) => assert!(msg.contains("99")),
@@ -220,14 +253,13 @@ mod tests {
         let env = TrainingEnv {
             factory: &factory,
             global: &global,
-            clients: &clients,
+            clients: Clients::Datasets(&clients),
             local: LocalConfig { epochs: 1, batch_size: 8, lr: 0.05, prox_mu: 0.0 },
             seed: 3,
             fault_model: Some(&CrashAll),
         };
         let mut ctx = RoundContext::new(0);
-        ctx.participants = vec![0, 1];
-        run(&mut ctx, &env, ClientExecutor::Sequential);
+        run(&mut ctx, &[0, 1], &env, ClientExecutor::Sequential);
         assert!(ctx.outcomes.iter().all(|(_, f, o)| {
             matches!(f, Some(InjectedFault::Crash)) && matches!(o, ClientOutcome::Crashed)
         }));

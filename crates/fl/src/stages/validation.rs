@@ -3,15 +3,17 @@
 //! Quarantine anything that would poison the aggregation arithmetic: wrong
 //! length, non-finite parameters or loss, norm-bound violations. §4.4's
 //! detection defends against clients that *lie*; this pass defends against
-//! clients that *break*. The stage also computes the round's mean/max
-//! inference loss over the surviving updates (the detector's inputs).
+//! clients that *break*. Once the whole cohort is validated, [`close`]
+//! computes the round's mean/max inference loss over the survivors (the
+//! detector's inputs).
 
 use super::RoundContext;
 use crate::metrics::{FaultEvent, FaultEventKind};
+use crate::strategy::UpdateMeta;
 
-/// Retain only the updates that pass [`crate::LocalUpdate::validate`],
-/// recording a quarantine event for each reject, then fill
-/// `ctx.mean_inference_loss` / `ctx.max_inference_loss` from the survivors.
+/// Retain only the updates in `ctx.updates` that pass
+/// [`crate::LocalUpdate::validate`], recording a quarantine event for each
+/// reject. May be called once per shard of the cohort.
 pub fn run(ctx: &mut RoundContext, expected_len: usize, max_param_norm: Option<f32>) {
     let updates = std::mem::take(&mut ctx.updates);
     let mut valid = Vec::with_capacity(updates.len());
@@ -25,18 +27,22 @@ pub fn run(ctx: &mut RoundContext, expected_len: usize, max_param_norm: Option<f
             }),
         }
     }
+    ctx.updates = valid;
+}
 
-    ctx.mean_inference_loss = if valid.is_empty() {
+/// Fill `ctx.mean_inference_loss` / `ctx.max_inference_loss` from the
+/// round's validated updates, in cohort order.
+pub fn close(ctx: &mut RoundContext, survivors: &[UpdateMeta]) {
+    ctx.mean_inference_loss = if survivors.is_empty() {
         0.0
     } else {
-        valid.iter().map(|u| u.inference_loss).sum::<f32>() / valid.len() as f32
+        survivors.iter().map(|m| m.inference_loss).sum::<f32>() / survivors.len() as f32
     };
     // `fold(NEG_INFINITY, max)` over an empty round would leak -inf into
     // the record (and from there into detector baselines); report 0.0
     // instead, matching mean_inference_loss.
-    let max_loss = valid.iter().map(|u| u.inference_loss).fold(f32::NEG_INFINITY, f32::max);
+    let max_loss = survivors.iter().map(|m| m.inference_loss).fold(f32::NEG_INFINITY, f32::max);
     ctx.max_inference_loss = if max_loss.is_finite() { max_loss } else { 0.0 };
-    ctx.updates = valid;
 }
 
 #[cfg(test)]
@@ -48,6 +54,13 @@ mod tests {
         LocalUpdate::new(cid, params, loss, 10)
     }
 
+    /// Validate, then close the loss statistics over the survivors.
+    fn validate_round(ctx: &mut RoundContext, expected_len: usize, max_norm: Option<f32>) {
+        run(ctx, expected_len, max_norm);
+        let metas: Vec<UpdateMeta> = ctx.updates.iter().map(UpdateMeta::of).collect();
+        close(ctx, &metas);
+    }
+
     #[test]
     fn poisoned_update_is_quarantined_without_running_training() {
         let mut ctx = RoundContext::new(0);
@@ -56,7 +69,7 @@ mod tests {
             update(1, vec![0.1, f32::NAN, 0.1, 0.1], 0.5),
             update(2, vec![0.1; 4], 0.7),
         ];
-        run(&mut ctx, 4, None);
+        validate_round(&mut ctx, 4, None);
         assert_eq!(ctx.surviving(), 2);
         assert_eq!(ctx.telemetry.quarantined, 1);
         assert_eq!(ctx.telemetry.events.len(), 1);
@@ -82,7 +95,7 @@ mod tests {
     #[test]
     fn empty_round_reports_zero_losses_not_neg_inf() {
         let mut ctx = RoundContext::new(0);
-        run(&mut ctx, 4, None);
+        validate_round(&mut ctx, 4, None);
         assert_eq!(ctx.mean_inference_loss, 0.0);
         assert_eq!(ctx.max_inference_loss, 0.0);
         assert_eq!(ctx.surviving(), 0);
@@ -92,7 +105,7 @@ mod tests {
     fn non_finite_loss_is_quarantined() {
         let mut ctx = RoundContext::new(0);
         ctx.updates = vec![update(0, vec![0.1; 4], f32::INFINITY), update(1, vec![0.1; 4], 0.4)];
-        run(&mut ctx, 4, None);
+        validate_round(&mut ctx, 4, None);
         assert_eq!(ctx.telemetry.quarantined, 1);
         assert!(ctx.max_inference_loss.is_finite());
     }

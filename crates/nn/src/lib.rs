@@ -26,7 +26,6 @@
 
 pub mod activations;
 pub mod adam;
-pub mod codec;
 pub mod conv;
 pub mod dense;
 pub mod dropout;

@@ -1,17 +1,29 @@
-//! Compressed v2 wire codecs for update transport (DESIGN.md §17).
+//! The v2 wire format for update transport (DESIGN.md §17): a framed,
+//! versioned, CRC-checked little-endian encoding, so a deployment detects
+//! truncation and corruption instead of silently aggregating garbage.
 //!
-//! The v1 codec ([`crate::codec`]) ships full-precision f32 parameters;
-//! this module adds the compressed schemes the transport layer bills by:
+//! Besides the full-precision f32 scheme (identity or bitwise delta), the
+//! frame carries the compressed schemes the transport layer bills by:
 //! per-tensor affine **int8** (via [`crate::quant::quantize_per_tensor`]),
 //! a **f16** wire format (the hand-written [`fedcav_tensor::F16`] scalar —
 //! the workspace is offline, so no `half` crate), **top-k magnitude
 //! sparsification** with a deterministic `total_cmp`-then-index tie-break,
 //! and **delta-vs-global** encoding composable under all of them.
 //!
-//! Frame layout (little-endian), extending the v1 frame:
+//! ```
+//! use fedcav_nn::wire::{self, CodecSpec};
+//!
+//! let codec = CodecSpec::Identity.build(&[]);
+//! let frame = codec.encode(&[0.5, -1.0], Some(2.3), &[]).unwrap();
+//! let decoded = wire::decode(&frame, &[]).unwrap();
+//! assert_eq!(decoded.params, vec![0.5, -1.0]);
+//! assert_eq!(decoded.inference_loss, Some(2.3));
+//! ```
+//!
+//! Frame layout (little-endian):
 //!
 //! ```text
-//! magic    u32   0x46444341 ("FDCA"), shared with v1
+//! magic    u32   0x46444341 ("FDCA")
 //! version  u16   2
 //! flags    u16   bit0: has inference loss · bit1: delta-vs-global
 //! scheme   u8    0 f32 · 1 int8 · 2 f16 · 3 topk
@@ -50,11 +62,13 @@
 //! timed-out or codec-rejected upload its full nominal frame size without
 //! having (or trusting) the bytes.
 
-use crate::codec::{crc32, CodecError, MAGIC};
 use crate::quant;
 use fedcav_tensor::F16;
 use std::fmt;
 
+/// Frame magic, `"FDCA"` little-endian. Version 1 frames (raw f32 only)
+/// shared it; [`decode`] rejects them by version.
+pub(crate) const MAGIC: u32 = 0x4644_4341;
 /// Wire version written by this module.
 pub const WIRE_VERSION: u16 = 2;
 /// Fixed v2 header length in bytes (before the optional loss field).
@@ -108,6 +122,46 @@ impl Scheme {
         }
     }
 }
+
+/// Framing failures, shared by every scheme.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodecError {
+    /// Frame shorter than its header or declared payload.
+    Truncated {
+        /// Bytes needed.
+        needed: usize,
+        /// Bytes available.
+        got: usize,
+    },
+    /// Magic number mismatch — not a FedCav frame.
+    BadMagic(u32),
+    /// Unsupported wire version.
+    BadVersion(u16),
+    /// CRC mismatch — corrupted in flight.
+    BadChecksum {
+        /// CRC computed over the received bytes.
+        computed: u32,
+        /// CRC carried by the frame.
+        stored: u32,
+    },
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Truncated { needed, got } => {
+                write!(f, "truncated frame: need {needed} bytes, got {got}")
+            }
+            CodecError::BadMagic(m) => write!(f, "bad magic {m:#010x}"),
+            CodecError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
+            CodecError::BadChecksum { computed, stored } => {
+                write!(f, "checksum mismatch: computed {computed:#010x}, stored {stored:#010x}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
 
 /// Wire-codec failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -567,6 +621,72 @@ impl WireCodec for TopKWire {
     }
 }
 
+/// The reflected CRC-32 (IEEE 802.3) polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through eight polynomial steps, and
+/// `CRC_TABLES[s][b]` advances that result by `s` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut s = 1;
+    while s < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[s - 1][b];
+            t[s][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        s += 1;
+    }
+    t
+}
+
+/// Entry `byte` of a 256-entry table; a `u8` index is always in range.
+#[inline(always)]
+fn lut(table: &[u32; 256], byte: u8) -> u32 {
+    table.get(usize::from(byte)).copied().unwrap_or(0)
+}
+
+/// CRC-32 (IEEE 802.3, reflected), table-driven slicing-by-8: eight bytes
+/// per step through `CRC_TABLES`, the tail a byte at a time. The value is
+/// the bitwise definition's, so frames are unchanged.
+pub fn crc32(data: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        if let &[b0, b1, b2, b3, b4, b5, b6, b7] = word {
+            let [x0, x1, x2, x3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+            crc = lut(t7, x0)
+                ^ lut(t6, x1)
+                ^ lut(t5, x2)
+                ^ lut(t4, x3)
+                ^ lut(t3, b4)
+                ^ lut(t2, b5)
+                ^ lut(t1, b6)
+                ^ lut(t0, b7);
+        }
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ lut(t0, crc as u8 ^ byte);
+    }
+    !crc
+}
+
 // ------------------------------------------------------------ decode side
 
 /// Bounds-checked little-endian reader over a frame body; every read
@@ -611,7 +731,7 @@ impl<'a> Reader<'a> {
 /// Decode a self-describing v2 frame. `global` is the model the frame was
 /// (possibly) delta-encoded against; non-delta frames ignore it.
 pub fn decode(frame: &[u8], global: &[f32]) -> WireResult<WireFrame> {
-    // CRC first, like the v1 codec: reject corruption before parsing.
+    // CRC first: reject corruption before parsing.
     let Some(body_len) = frame.len().checked_sub(4) else {
         return Err(WireError::Frame(CodecError::Truncated {
             needed: WIRE_HEADER_LEN + 4,
@@ -989,9 +1109,24 @@ mod tests {
         assert!(matches!(decode(&bad, &[]), Err(WireError::Frame(CodecError::BadChecksum { .. }))));
         // Truncation.
         assert!(matches!(decode(&frame[..frame.len() - 6], &[]), Err(WireError::Frame(_))));
-        // A v1 frame is rejected with BadVersion, not misparsed.
-        let v1 = crate::codec::encode(&[1.0, 2.0], None);
+        // A version-1 frame (magic, version, flags, count, raw f32
+        // params, CRC) is rejected with BadVersion, not misparsed.
+        let mut v1 = MAGIC.to_le_bytes().to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&0u16.to_le_bytes());
+        v1.extend_from_slice(&2u32.to_le_bytes());
+        for p in [1.0f32, 2.0] {
+            v1.extend_from_slice(&p.to_le_bytes());
+        }
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(decode(&v1, &[]), Err(WireError::Frame(CodecError::BadVersion(1))));
+        // A foreign magic is rejected as such once the CRC is repaired.
+        let mut foreign = frame[..frame.len() - 4].to_vec();
+        foreign[0] ^= 0x01;
+        let crc = crc32(&foreign);
+        foreign.extend_from_slice(&crc.to_le_bytes());
+        assert!(matches!(decode(&foreign, &[]), Err(WireError::Frame(CodecError::BadMagic(_)))));
         // Unknown scheme tag.
         let mut evil = frame[..frame.len() - 4].to_vec();
         evil[8] = 9;
@@ -1085,5 +1220,50 @@ mod tests {
                 assert_eq!(frame.len(), codec.encoded_len(p.len(), with_loss), "{spec:?}");
             }
         }
+    }
+
+    #[test]
+    fn crc32_known_vector() {
+        // "123456789" -> 0xCBF43926 (IEEE check value).
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bitwise definition the tables are built from, kept as their
+    /// oracle.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle() {
+        let bytes: Vec<u8> =
+            (0..70_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]), "len {len}");
+        }
+        // Large slices at every alignment, with ragged tails.
+        for start in 0..8 {
+            for end in [bytes.len() - 5, bytes.len() - 2, bytes.len()] {
+                let s = &bytes[start..end];
+                assert_eq!(crc32(s), crc32_bitwise(s), "{start}..{end}");
+            }
+        }
+    }
+
+    #[test]
+    fn error_messages_readable() {
+        let e = CodecError::Truncated { needed: 16, got: 3 };
+        assert!(e.to_string().contains("truncated"));
+        let e = CodecError::BadChecksum { computed: 1, stored: 2 };
+        assert!(e.to_string().contains("checksum"));
     }
 }

@@ -1,13 +1,22 @@
 //! Round-trip coverage for the FL wire seams the kernel bench serializes
-//! through: `codec` (encode → decode identity, corruption detection) and
-//! `quant` (quantize → dequantize error bound). These are integration
+//! through: `wire` with the identity scheme (encode → decode identity,
+//! corruption detection) and `quant` (quantize → dequantize error bound). These are integration
 //! tests at the *public* seam — they use only what a downstream crate can
 //! call.
 
-use fedcav_nn::codec::{self, CodecError};
 use fedcav_nn::quant;
+use fedcav_nn::wire::{self, CodecError, CodecSpec, WireError, WireFrame};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// An identity-scheme (raw f32) v2 frame.
+fn encode(params: &[f32], loss: Option<f32>) -> Vec<u8> {
+    CodecSpec::Identity.build(&[]).encode(params, loss, &[]).unwrap()
+}
+
+fn decode(frame: &[u8]) -> Result<WireFrame, WireError> {
+    wire::decode(frame, &[])
+}
 
 fn params(seed: u64, len: usize) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -18,7 +27,7 @@ fn params(seed: u64, len: usize) -> Vec<f32> {
 fn encode_decode_identity_with_loss() {
     for len in [1usize, 7, 128, 4096] {
         let p = params(len as u64, len);
-        let frame = codec::decode(&codec::encode(&p, Some(0.731))).unwrap();
+        let frame = decode(&encode(&p, Some(0.731))).unwrap();
         // Bit-exact round-trip: the wire format is raw little-endian f32.
         let same = frame.params.iter().zip(&p).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "params changed across encode/decode (len {len})");
@@ -29,15 +38,9 @@ fn encode_decode_identity_with_loss() {
 #[test]
 fn encode_decode_identity_without_loss() {
     let p = params(5, 33);
-    let frame = codec::decode(&codec::encode(&p, None)).unwrap();
+    let frame = decode(&encode(&p, None)).unwrap();
     assert_eq!(frame.params.len(), p.len());
     assert_eq!(frame.inference_loss, None);
-}
-
-#[test]
-fn empty_params_round_trip() {
-    let frame = codec::decode(&codec::encode(&[], None)).unwrap();
-    assert!(frame.params.is_empty());
 }
 
 #[test]
@@ -45,7 +48,7 @@ fn special_values_survive_the_wire_bit_for_bit() {
     // The validation stage, not the codec, is where non-finite uploads get
     // quarantined — the codec must transport them faithfully.
     let p = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::MIN_POSITIVE];
-    let frame = codec::decode(&codec::encode(&p, Some(f32::NAN))).unwrap();
+    let frame = decode(&encode(&p, Some(f32::NAN))).unwrap();
     let same = frame.params.iter().zip(&p).all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(same, "special values mangled");
 }
@@ -53,21 +56,21 @@ fn special_values_survive_the_wire_bit_for_bit() {
 #[test]
 fn corruption_is_detected() {
     let p = params(9, 64);
-    let mut wire = codec::encode(&p, Some(1.5)).to_vec();
+    let mut frame = encode(&p, Some(1.5));
     // Flip one payload bit: checksum must catch it.
-    let mid = wire.len() / 2;
-    wire[mid] ^= 0x10;
-    match codec::decode(&wire) {
-        Err(CodecError::BadChecksum { .. }) => {}
+    let mid = frame.len() / 2;
+    frame[mid] ^= 0x10;
+    match decode(&frame) {
+        Err(WireError::Frame(CodecError::BadChecksum { .. })) => {}
         other => panic!("corrupted frame decoded as {other:?}"),
     }
 }
 
 #[test]
 fn truncation_is_detected() {
-    let wire = codec::encode(&params(2, 16), None);
-    for cut in [0usize, 3, 11, wire.len() - 1] {
-        assert!(codec::decode(&wire[..cut]).is_err(), "truncated frame of {cut} bytes decoded");
+    let frame = encode(&params(2, 16), None);
+    for cut in [0usize, 3, 11, frame.len() - 1] {
+        assert!(decode(&frame[..cut]).is_err(), "truncated frame of {cut} bytes decoded");
     }
 }
 
@@ -108,7 +111,7 @@ fn quant_after_codec_composes() {
     // quantization bound (the codec leg is bit-exact).
     let p = params(77, 256);
     let q = quant::quantize(&p).unwrap();
-    let frame = codec::decode(&codec::encode(&quant::dequantize(&q), Some(0.5))).unwrap();
+    let frame = decode(&encode(&quant::dequantize(&q), Some(0.5))).unwrap();
     let bound = quant::max_error_bound(&q);
     for (orig, rt) in p.iter().zip(&frame.params) {
         assert!((orig - rt).abs() <= bound + f32::EPSILON);

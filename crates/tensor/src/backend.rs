@@ -1,9 +1,8 @@
 //! The backend boundary: [`Backend`] + [`TensorOps`] + [`TensorElement`].
 //!
 //! Everything above `fedcav-tensor` — the nn layers, the FL stages, the
-//! benches — used to be hard-wired to the f32 kernel pair selected by
-//! `FEDCAV_KERNELS`. This module formalises that seam as a trait boundary
-//! in the burn style: a [`Backend`] names an element type (its storage
+//! benches — reaches the kernels through this trait boundary, in the burn
+//! style: a [`Backend`] names an element type (its storage
 //! precision) and implements [`TensorOps`] (the kernel set a from-scratch
 //! CNN training stack needs). Three backends live behind it:
 //!
@@ -24,9 +23,8 @@
 //! ## Selection
 //!
 //! The process-global backend is chosen once from `FEDCAV_BACKEND`
-//! (`blocked` | `reference` | `f16`, default `blocked`) and cached;
-//! `FEDCAV_KERNELS` is honoured as a deprecated alias when
-//! `FEDCAV_BACKEND` is unset. Benches and tests override in-process with
+//! (`blocked` | `reference` | `f16`, default `blocked`) and cached.
+//! Benches and tests override in-process with
 //! [`force_backend_kind`]. Code that is *statically* generic over a
 //! backend names it as a type parameter; code that wants "whatever the
 //! process selected" uses [`Dispatch`], which forwards every op to the
@@ -38,10 +36,8 @@
 
 use crate::conv::{Conv2dGrads, Conv2dParams};
 use crate::f16::F16;
-use crate::im2col::{conv2d_backward_im2col_mode, conv2d_forward_im2col_mode, Im2colScratch};
-use crate::matmul::{
-    matmul_blocked_bt_into, matmul_blocked_into, matmul_reference_into, Epilogue, KernelMode,
-};
+use crate::im2col::{conv2d_backward_im2col_with, conv2d_forward_im2col_with, Im2colScratch};
+use crate::matmul::{matmul_blocked_bt_into, matmul_blocked_into, matmul_reference_into, Epilogue};
 use crate::pool::MaxPoolOut;
 use crate::{Result, Tensor};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -144,9 +140,7 @@ static KIND: AtomicU8 = AtomicU8::new(0);
 pub(crate) static KIND_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The backend kind in force: the last [`force_backend_kind`] value, else
-/// `FEDCAV_BACKEND` read once and cached (with `FEDCAV_KERNELS` as a
-/// deprecated alias when `FEDCAV_BACKEND` is unset), else
-/// [`BackendKind::CpuBlocked`]. Unparseable values fall back to the
+/// `FEDCAV_BACKEND` read once and cached, else [`BackendKind::CpuBlocked`]. Unparseable values fall back to the
 /// default rather than failing a run.
 pub fn backend_kind() -> BackendKind {
     match KIND.load(Ordering::Relaxed) {
@@ -157,11 +151,6 @@ pub fn backend_kind() -> BackendKind {
             let kind = std::env::var("FEDCAV_BACKEND")
                 .ok()
                 .and_then(|v| BackendKind::parse(&v))
-                .or_else(|| {
-                    // Deprecated alias from before the backend boundary;
-                    // only `blocked`/`reference` ever parsed here.
-                    std::env::var("FEDCAV_KERNELS").ok().and_then(|v| BackendKind::parse(&v))
-                })
                 .unwrap_or(BackendKind::CpuBlocked);
             force_backend_kind(kind);
             kind
@@ -346,7 +335,7 @@ impl TensorOps for CpuBlocked {
         relu: bool,
         scratch: &mut Im2colScratch,
     ) -> Result<Tensor> {
-        conv2d_forward_im2col_mode(KernelMode::Blocked, input, weight, bias, params, relu, scratch)
+        conv2d_forward_im2col_with(input, weight, bias, params, relu, scratch)
     }
 
     fn conv2d_backward(
@@ -357,15 +346,7 @@ impl TensorOps for CpuBlocked {
         need_input_grad: bool,
         scratch: &mut Im2colScratch,
     ) -> Result<Conv2dGrads> {
-        conv2d_backward_im2col_mode(
-            KernelMode::Blocked,
-            input,
-            weight,
-            d_out,
-            params,
-            need_input_grad,
-            scratch,
-        )
+        conv2d_backward_im2col_with(input, weight, d_out, params, need_input_grad, scratch)
     }
 }
 
@@ -375,8 +356,7 @@ impl Backend for CpuBlocked {
 }
 
 /// The naive f32 oracle backend: reference matmul and the *direct* conv
-/// kernels (not the im2col lowering), exactly as `FEDCAV_KERNELS=reference`
-/// selected before the boundary existed.
+/// kernels (not the im2col lowering).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Reference;
 
@@ -514,8 +494,7 @@ impl TensorOps for F16Storage {
         let qi = quantized_tensor(input);
         let qw = quantized_tensor(weight);
         let qb = quantized_tensor(bias);
-        let mut out =
-            conv2d_forward_im2col_mode(KernelMode::Blocked, &qi, &qw, &qb, params, relu, scratch)?;
+        let mut out = conv2d_forward_im2col_with(&qi, &qw, &qb, params, relu, scratch)?;
         out.map_in_place(F16::quantize);
         Ok(out)
     }
@@ -532,15 +511,7 @@ impl TensorOps for F16Storage {
         // three gradient outputs stay f32 (accumulate-in-f32).
         let qi = quantized_tensor(input);
         let qw = quantized_tensor(weight);
-        conv2d_backward_im2col_mode(
-            KernelMode::Blocked,
-            &qi,
-            &qw,
-            d_out,
-            params,
-            need_input_grad,
-            scratch,
-        )
+        conv2d_backward_im2col_with(&qi, &qw, d_out, params, need_input_grad, scratch)
     }
 
     fn global_avgpool_forward(input: &Tensor) -> Result<Tensor> {

@@ -5,7 +5,7 @@
 //! and the client executor (`fedcav_fl::executor`) is the one thread pool.
 //!
 //! Since the blocked-kernel rewrite these are the **reference** conv path:
-//! `fedcav-nn`'s `Conv2d` uses them under `FEDCAV_KERNELS=reference` and
+//! `fedcav-nn`'s `Conv2d` uses them under the reference backend and
 //! the arena-backed im2col lowering ([`crate::im2col`]) otherwise, and the
 //! differential property suite pins the two against each other.
 

@@ -6,10 +6,10 @@
 //! The direct kernel in [`crate::conv`] wins on the very small feature
 //! maps; im2col wins once `in_c·kh·kw` gets large because the blocked
 //! matmul (see [`crate::matmul`]) amortises better over cache lines. Both
-//! are exposed: `fedcav-nn`'s `Conv2d` uses the arena path under
-//! `FEDCAV_KERNELS=blocked` and the direct kernels under `reference`, the
-//! kernel micro-benches compare them, and the equivalence tests here pin
-//! them to each other within f32 rounding.
+//! are exposed: the blocked and f16-storage backends lower through the
+//! arena path on the blocked matmul, the reference backend runs the direct
+//! kernels, the kernel micro-benches compare them, and the equivalence
+//! tests here pin them to each other within f32 rounding.
 //!
 //! ## Scratch-arena ownership (DESIGN.md §12)
 //!
@@ -38,7 +38,7 @@
 //! unfold would produce, so reuse never changes a result.
 
 use crate::conv::{Conv2dGrads, Conv2dParams};
-use crate::matmul::{kernel_mode, matmul_bt_into, matmul_into, Epilogue, KernelMode};
+use crate::matmul::{matmul_blocked_bt_into, matmul_blocked_into, Epilogue};
 use crate::tensor::{transpose_into, transpose_slice};
 use crate::{Result, Tensor, TensorError};
 
@@ -303,25 +303,9 @@ pub fn conv2d_forward_im2col(
 /// The bias add (and ReLU, when `relu`) is fused into the lowered
 /// matmul's output store — per-element this is the exact operation
 /// sequence of the unfused path (`sum`, `+ bias[oc]`, `max(0)`), so the
-/// fusion is bitwise-invisible.
+/// fusion is bitwise-invisible. Leaves `im2col(input)` in the arena for
+/// the backward of the same input.
 pub fn conv2d_forward_im2col_with(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    params: Conv2dParams,
-    relu: bool,
-    scratch: &mut Im2colScratch,
-) -> Result<Tensor> {
-    conv2d_forward_im2col_mode(kernel_mode(), input, weight, bias, params, relu, scratch)
-}
-
-/// The fully explicit forward lowering: like
-/// [`conv2d_forward_im2col_with`] but with the matmul kernel named by the
-/// caller instead of read from the process-global mode — the form the
-/// backend implementations in [`crate::backend`] build on. Leaves
-/// `im2col(input)` in the arena for the backward of the same input.
-pub fn conv2d_forward_im2col_mode(
-    mode: KernelMode,
     input: &Tensor,
     weight: &Tensor,
     bias: &Tensor,
@@ -347,8 +331,7 @@ pub fn conv2d_forward_im2col_mode(
     crate::counters::record_matmul(rows, k, g.out_c);
     let ep =
         if relu { Epilogue::BiasRelu(bias.as_slice()) } else { Epilogue::Bias(bias.as_slice()) };
-    matmul_bt_into(
-        mode,
+    matmul_blocked_bt_into(
         &scratch.cols,
         weight.as_slice(),
         rows,
@@ -385,7 +368,7 @@ pub fn conv2d_backward_im2col(
     d_out: &Tensor,
     params: Conv2dParams,
 ) -> Result<Conv2dGrads> {
-    conv2d_backward_im2col_with(input, weight, d_out, params, &mut Im2colScratch::new())
+    conv2d_backward_im2col_with(input, weight, d_out, params, true, &mut Im2colScratch::new())
 }
 
 /// Backward convolution via im2col, with a caller-owned scratch arena.
@@ -401,23 +384,10 @@ pub fn conv2d_backward_im2col(
 ///   OIHW flattened),
 /// * `d_input      = col2im(d_rows × weight)`  (scatter-add of the patch
 ///   gradient back through the unfolding).
+///
+/// With `need_input_grad == false` the `d_cols` matmul and the col2im
+/// scatter are skipped and `d_input` is an empty `[0]` tensor.
 pub fn conv2d_backward_im2col_with(
-    input: &Tensor,
-    weight: &Tensor,
-    d_out: &Tensor,
-    params: Conv2dParams,
-    scratch: &mut Im2colScratch,
-) -> Result<Conv2dGrads> {
-    conv2d_backward_im2col_mode(kernel_mode(), input, weight, d_out, params, true, scratch)
-}
-
-/// The fully explicit backward lowering: like
-/// [`conv2d_backward_im2col_with`] but with the matmul kernel named by the
-/// caller — the form the backend implementations build on. With
-/// `need_input_grad == false` the `d_cols` matmul and the col2im scatter
-/// are skipped and `d_input` is an empty `[0]` tensor.
-pub fn conv2d_backward_im2col_mode(
-    mode: KernelMode,
     input: &Tensor,
     weight: &Tensor,
     d_out: &Tensor,
@@ -467,8 +437,7 @@ pub fn conv2d_backward_im2col_mode(
     // d_weight [out_c, K] = d_rows^T × cols.
     crate::counters::record_matmul(g.out_c, rows, k);
     let mut d_weight = Vec::new();
-    matmul_into(
-        mode,
+    matmul_blocked_into(
         &scratch.dr_t,
         &scratch.cols,
         g.out_c,
@@ -482,8 +451,7 @@ pub fn conv2d_backward_im2col_mode(
         // d_cols [rows, K] = d_rows × weight-as-[out_c, K], then col2im.
         transpose_into(&scratch.dr_t, g.out_c, rows, &mut scratch.d_rows);
         crate::counters::record_matmul(rows, g.out_c, k);
-        matmul_into(
-            mode,
+        matmul_blocked_into(
             &scratch.d_rows,
             weight.as_slice(),
             rows,
@@ -597,7 +565,6 @@ mod tests {
     fn dirty_arena_reuse_is_bit_identical_to_fresh() {
         // One arena across every case — including shrinking shapes, so
         // stale data from larger runs would surface immediately.
-        let _guard = crate::matmul::MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = StdRng::seed_from_u64(23);
         let mut arena = Im2colScratch::new();
         for &(n, c, h, w, oc, k, stride, padding) in &CASES {
@@ -615,7 +582,8 @@ mod tests {
             let d_out = init::uniform(&mut rng, &[n, oc, oh, ow], -1.0, 1.0);
             let fresh_b = conv2d_backward_im2col(&input, &weight, &d_out, params).unwrap();
             let reused_b =
-                conv2d_backward_im2col_with(&input, &weight, &d_out, params, &mut arena).unwrap();
+                conv2d_backward_im2col_with(&input, &weight, &d_out, params, true, &mut arena)
+                    .unwrap();
             assert_bits(&fresh_b.d_input, &reused_b.d_input);
             assert_bits(&fresh_b.d_weight, &reused_b.d_weight);
             assert_bits(&fresh_b.d_bias, &reused_b.d_bias);
@@ -628,7 +596,6 @@ mod tests {
         // The arena's patches are reused only for the geometry they were
         // unfolded from: another batch size, or the same input under
         // another padding, must not pick them up.
-        let _guard = crate::matmul::MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = StdRng::seed_from_u64(29);
         let weight = init::uniform(&mut rng, &[3, 2, 3, 3], -0.5, 0.5);
         let bias = Tensor::zeros(&[3]);
@@ -645,7 +612,8 @@ mod tests {
             let d_out = init::uniform(&mut rng, &[1, 3, 7, 7], -1.0, 1.0);
             let fresh = conv2d_backward_im2col(input, &weight, &d_out, params).unwrap();
             let reused =
-                conv2d_backward_im2col_with(input, &weight, &d_out, params, &mut arena).unwrap();
+                conv2d_backward_im2col_with(input, &weight, &d_out, params, true, &mut arena)
+                    .unwrap();
             assert_bits(&fresh.d_input, &reused.d_input);
             assert_bits(&fresh.d_weight, &reused.d_weight);
             assert_bits(&fresh.d_bias, &reused.d_bias);
@@ -654,7 +622,6 @@ mod tests {
 
     #[test]
     fn fused_relu_matches_forward_then_relu_bitwise() {
-        let _guard = crate::matmul::MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = StdRng::seed_from_u64(37);
         let input = init::uniform(&mut rng, &[2, 3, 7, 7], -1.0, 1.0);
         let weight = init::uniform(&mut rng, &[4, 3, 3, 3], -0.5, 0.5);

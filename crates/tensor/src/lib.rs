@@ -55,7 +55,6 @@ pub use backend::{
 pub use counters::OpCounters;
 pub use error::TensorError;
 pub use f16::F16;
-pub use matmul::{force_kernel_mode, kernel_mode, KernelMode};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

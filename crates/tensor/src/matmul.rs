@@ -71,87 +71,21 @@
 //!
 //! Kernel selection lives in [`crate::backend`]: the process-global
 //! backend is chosen once from `FEDCAV_BACKEND` (`blocked` | `reference`
-//! | `f16`, default `blocked`; `FEDCAV_KERNELS` remains a deprecated
-//! alias) and cached. [`kernel_mode`] and [`force_kernel_mode`] are thin
-//! views of that state kept for the call sites that only care about the
-//! blocked-vs-reference matmul distinction.
+//! | `f16`, default `blocked`) and cached. The reference backend calls
+//! [`matmul_reference_into`]; the blocked and f16-storage backends (and
+//! the im2col lowering) call [`matmul_blocked_into`] /
+//! [`matmul_blocked_bt_into`].
 //!
 //! This module is on the `no-panic-in-round-loop` lint path: client
 //! training runs inside the fault-tolerant round loop, and a panicking
 //! kernel would kill the simulation instead of costing one contribution.
 //! Everything here is written with iterators and checked slicing.
 
-use crate::backend::{backend_kind, force_backend_kind, BackendKind};
-
 /// Rows per register tile (and per band).
 pub const MR: usize = 4;
 
 /// Columns per register tile.
 pub const NR: usize = 8;
-
-/// Which matmul kernel backs [`crate::Tensor::matmul`] and the im2col
-/// convolution lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// The cache-blocked, register-tiled kernel (default).
-    Blocked,
-    /// The original naive kernel: the oracle for differential tests and
-    /// the `FEDCAV_KERNELS=reference` escape hatch.
-    Reference,
-}
-
-impl KernelMode {
-    /// Parse the legacy `FEDCAV_KERNELS` spelling. `None` for anything
-    /// else (including `f16`, which is a backend, not a matmul kernel).
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s.trim() {
-            "blocked" => Some(KernelMode::Blocked),
-            "reference" => Some(KernelMode::Reference),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KernelMode::Blocked => write!(f, "blocked"),
-            KernelMode::Reference => write!(f, "reference"),
-        }
-    }
-}
-
-/// Serializes tests that force the process-global backend against tests
-/// that compare two mode-dependent calls bit-for-bit. Alias of the
-/// backend module's lock — the underlying state is one and the same.
-#[cfg(test)]
-pub(crate) use crate::backend::KIND_TEST_LOCK as MODE_TEST_LOCK;
-
-/// The matmul kernel the process-global backend uses: [`Reference`]
-/// exactly when the backend is the reference oracle, [`Blocked`] for the
-/// blocked *and* f16-storage backends (the latter quantizes operands but
-/// accumulates on the blocked kernel).
-///
-/// [`Reference`]: KernelMode::Reference
-/// [`Blocked`]: KernelMode::Blocked
-pub fn kernel_mode() -> KernelMode {
-    match backend_kind() {
-        BackendKind::Reference => KernelMode::Reference,
-        BackendKind::CpuBlocked | BackendKind::F16Storage => KernelMode::Blocked,
-    }
-}
-
-/// Override the process-global backend through the legacy kernel-mode
-/// lens (benches and tests; callers that need the previous state back
-/// should capture [`crate::backend::backend_kind`] first). Forcing a
-/// kernel mode selects the matching *f32* backend — it never selects
-/// `F16Storage`, which has no `KernelMode` spelling.
-pub fn force_kernel_mode(mode: KernelMode) {
-    force_backend_kind(match mode {
-        KernelMode::Blocked => BackendKind::CpuBlocked,
-        KernelMode::Reference => BackendKind::Reference,
-    });
-}
 
 /// A per-element finishing step fused into the kernel's output store,
 /// applied after the element's `k`-accumulation completes. `Bias` slices
@@ -166,53 +100,6 @@ pub enum Epilogue<'a> {
     Bias(&'a [f32]),
     /// `max(acc + bias[j], 0)`.
     BiasRelu(&'a [f32]),
-}
-
-/// Dispatch to the kernel selected by `mode`. `out` is cleared and
-/// resized; `a` is `[m,k]` row-major, `b` is `[k,n]` row-major.
-///
-/// The dimension arguments are trusted (the `Tensor` entry points
-/// validate); short operand slices produce short (zero-padded) results
-/// rather than panicking.
-pub fn matmul_into(
-    mode: KernelMode,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ep: Epilogue<'_>,
-    out: &mut Vec<f32>,
-) {
-    match mode {
-        KernelMode::Blocked => matmul_blocked_into(a, b, m, k, n, ep, out),
-        KernelMode::Reference => matmul_reference_into(a, b, m, k, n, ep, out),
-    }
-}
-
-/// [`matmul_into`] with the right operand given as its `[n,k]` row-major
-/// transpose `b_t`: bit-identical to `matmul_into` on the materialized
-/// `[k,n]` matrix. The blocked kernel packs its panels straight from `b_t`;
-/// the reference oracle materializes the transpose and runs unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_bt_into(
-    mode: KernelMode,
-    a: &[f32],
-    b_t: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ep: Epilogue<'_>,
-    out: &mut Vec<f32>,
-) {
-    match mode {
-        KernelMode::Blocked => matmul_blocked_bt_into(a, b_t, m, k, n, ep, out),
-        KernelMode::Reference => {
-            let mut b = Vec::new();
-            crate::tensor::transpose_into(b_t, n, k, &mut b);
-            matmul_reference_into(a, &b, m, k, n, ep, out);
-        }
-    }
 }
 
 /// The original naive kernel, verbatim from the pre-blocking `Tensor::
@@ -633,13 +520,14 @@ fn epilogue_row(row: &mut [f32], ep: Epilogue<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, CpuBlocked, F16Storage, Reference, TensorOps};
 
     fn seq(len: usize, scale: f32) -> Vec<f32> {
         (0..len).map(|i| ((i * 37 % 23) as f32 - 11.0) * scale).collect()
     }
 
-    fn run(
-        mode: KernelMode,
+    /// `a × b` on backend `B`.
+    fn run<B: TensorOps>(
         a: &[f32],
         b: &[f32],
         m: usize,
@@ -648,17 +536,8 @@ mod tests {
         ep: Epilogue<'_>,
     ) -> Vec<f32> {
         let mut out = Vec::new();
-        matmul_into(mode, a, b, m, k, n, ep, &mut out);
+        B::matmul(a, b, m, k, n, ep, &mut out);
         out
-    }
-
-    #[test]
-    fn parse_and_display_round_trip() {
-        assert_eq!(KernelMode::parse("blocked"), Some(KernelMode::Blocked));
-        assert_eq!(KernelMode::parse(" reference "), Some(KernelMode::Reference));
-        assert_eq!(KernelMode::parse("naive"), None);
-        assert_eq!(KernelMode::Blocked.to_string(), "blocked");
-        assert_eq!(KernelMode::Reference.to_string(), "reference");
     }
 
     #[test]
@@ -666,8 +545,8 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (2, 3, 4), (4, 4, 8), (5, 7, 9), (13, 6, 17), (8, 16, 8)] {
             let a = seq(m * k, 0.25);
             let b = seq(k * n, 0.5);
-            let r = run(KernelMode::Reference, &a, &b, m, k, n, Epilogue::None);
-            let bl = run(KernelMode::Blocked, &a, &b, m, k, n, Epilogue::None);
+            let r = run::<Reference>(&a, &b, m, k, n, Epilogue::None);
+            let bl = run::<CpuBlocked>(&a, &b, m, k, n, Epilogue::None);
             for (x, y) in r.iter().zip(&bl) {
                 assert!((x - y).abs() <= 1e-5 * x.abs().max(1.0), "{m}x{k}x{n}: {x} vs {y}");
             }
@@ -678,50 +557,59 @@ mod tests {
     fn known_2x2_product() {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [5.0, 6.0, 7.0, 8.0];
-        for mode in [KernelMode::Blocked, KernelMode::Reference] {
-            assert_eq!(run(mode, &a, &b, 2, 2, 2, Epilogue::None), vec![19.0, 22.0, 43.0, 50.0]);
-        }
+        let want = vec![19.0, 22.0, 43.0, 50.0];
+        assert_eq!(run::<CpuBlocked>(&a, &b, 2, 2, 2, Epilogue::None), want);
+        assert_eq!(run::<Reference>(&a, &b, 2, 2, 2, Epilogue::None), want);
+        assert_eq!(run::<F16Storage>(&a, &b, 2, 2, 2, Epilogue::None), want);
     }
 
-    #[test]
-    fn fused_epilogues_match_separate_passes_bitwise() {
+    /// The fused epilogues of an f32 backend `B` against separate passes.
+    fn fused_epilogues_match_separate_passes<B: Backend>() {
         let (m, k, n) = (9, 5, 11);
         let a = seq(m * k, 0.1);
         let b = seq(k * n, 0.3);
         let bias = seq(n, 0.7);
-        for mode in [KernelMode::Blocked, KernelMode::Reference] {
-            let plain = run(mode, &a, &b, m, k, n, Epilogue::None);
-            let mut manual = plain.clone();
-            for row in manual.chunks_mut(n) {
-                for (v, &bv) in row.iter_mut().zip(&bias) {
-                    *v += bv;
-                }
+        let plain = run::<B>(&a, &b, m, k, n, Epilogue::None);
+        let mut manual = plain.clone();
+        for row in manual.chunks_mut(n) {
+            for (v, &bv) in row.iter_mut().zip(&bias) {
+                *v += bv;
             }
-            let fused = run(mode, &a, &b, m, k, n, Epilogue::Bias(&bias));
-            assert_eq!(fused, manual, "{mode}: bias epilogue diverged");
-            for v in manual.iter_mut() {
-                *v = v.max(0.0);
-            }
-            let fused_relu = run(mode, &a, &b, m, k, n, Epilogue::BiasRelu(&bias));
-            assert_eq!(fused_relu, manual, "{mode}: bias+relu epilogue diverged");
-            let mut relu_only = plain;
-            for v in relu_only.iter_mut() {
-                *v = v.max(0.0);
-            }
-            assert_eq!(run(mode, &a, &b, m, k, n, Epilogue::Relu), relu_only);
         }
+        let fused = run::<B>(&a, &b, m, k, n, Epilogue::Bias(&bias));
+        assert_eq!(fused, manual, "{}: bias epilogue diverged", B::NAME);
+        for v in manual.iter_mut() {
+            *v = v.max(0.0);
+        }
+        let fused_relu = run::<B>(&a, &b, m, k, n, Epilogue::BiasRelu(&bias));
+        assert_eq!(fused_relu, manual, "{}: bias+relu epilogue diverged", B::NAME);
+        let mut relu_only = plain;
+        for v in relu_only.iter_mut() {
+            *v = v.max(0.0);
+        }
+        assert_eq!(run::<B>(&a, &b, m, k, n, Epilogue::Relu), relu_only, "{}", B::NAME);
+    }
+
+    #[test]
+    fn fused_epilogues_match_separate_passes_bitwise() {
+        fused_epilogues_match_separate_passes::<CpuBlocked>();
+        fused_epilogues_match_separate_passes::<Reference>();
+    }
+
+    /// Empty products on backend `B`; the epilogue still applies at k = 0.
+    fn degenerate_dims_on<B: TensorOps>() {
+        assert!(run::<B>(&[], &[], 0, 3, 4, Epilogue::None).is_empty());
+        assert!(run::<B>(&[], &[], 3, 4, 0, Epilogue::None).is_empty());
+        let bias = [1.5, -2.0];
+        let out = run::<B>(&[], &[], 2, 0, 2, Epilogue::BiasRelu(&bias));
+        assert_eq!(out, vec![1.5, 0.0, 1.5, 0.0]);
     }
 
     #[test]
     fn degenerate_dims() {
-        for mode in [KernelMode::Blocked, KernelMode::Reference] {
-            assert!(run(mode, &[], &[], 0, 3, 4, Epilogue::None).is_empty());
-            assert!(run(mode, &[], &[], 3, 4, 0, Epilogue::None).is_empty());
-            // k == 0: all-zero product, but the epilogue still applies.
-            let bias = [1.5, -2.0];
-            let out = run(mode, &[], &[], 2, 0, 2, Epilogue::BiasRelu(&bias));
-            assert_eq!(out, vec![1.5, 0.0, 1.5, 0.0]);
-        }
+        degenerate_dims_on::<CpuBlocked>();
+        degenerate_dims_on::<Reference>();
+        degenerate_dims_on::<F16Storage>();
     }
 
     #[test]
@@ -730,9 +618,9 @@ mod tests {
         let (m, k, n) = (70, 33, 260);
         let a = seq(m * k, 0.05);
         let b = seq(k * n, 0.02);
-        let first = run(KernelMode::Blocked, &a, &b, m, k, n, Epilogue::None);
+        let first = run::<CpuBlocked>(&a, &b, m, k, n, Epilogue::None);
         for _ in 0..3 {
-            let again = run(KernelMode::Blocked, &a, &b, m, k, n, Epilogue::None);
+            let again = run::<CpuBlocked>(&a, &b, m, k, n, Epilogue::None);
             let same = first.iter().zip(&again).all(|(x, y)| x.to_bits() == y.to_bits());
             assert!(same, "blocked kernel varied across runs");
         }
@@ -740,7 +628,7 @@ mod tests {
 
     /// Every row of `a·b` and `a·bᵀ` on backend `B` must be bit-identical
     /// to the product of that row alone, whatever band it lands in.
-    fn rows_match_their_products_alone<B: crate::backend::Backend>() {
+    fn rows_match_their_products_alone<B: Backend>() {
         let (k, n) = (37, 11);
         let b = seq(k * n, 0.071);
         let b_t = seq(n * k, 0.033);
@@ -771,23 +659,8 @@ mod tests {
 
     #[test]
     fn every_row_is_bit_identical_to_its_product_alone() {
-        use crate::backend::{CpuBlocked, F16Storage, Reference};
         rows_match_their_products_alone::<CpuBlocked>();
         rows_match_their_products_alone::<Reference>();
         rows_match_their_products_alone::<F16Storage>();
-    }
-
-    #[test]
-    fn force_overrides_and_restores_mode() {
-        let _guard = MODE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Capture the full *backend* kind (not just the kernel-mode view)
-        // so restoring cannot clobber an ambient f16 backend to blocked.
-        let ambient = crate::backend::backend_kind();
-        force_kernel_mode(KernelMode::Reference);
-        assert_eq!(kernel_mode(), KernelMode::Reference);
-        force_kernel_mode(KernelMode::Blocked);
-        assert_eq!(kernel_mode(), KernelMode::Blocked);
-        crate::backend::force_backend_kind(ambient);
-        assert_eq!(crate::backend::backend_kind(), ambient);
     }
 }

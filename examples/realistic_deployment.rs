@@ -12,7 +12,8 @@ use fedcav::fl::{
     DiurnalAvailability, FaultPolicy, LocalConfig, LogNormalLatency, RandomFaults, Simulation,
     SimulationConfig,
 };
-use fedcav::nn::{codec, models};
+use fedcav::nn::models;
+use fedcav::nn::wire::{self, CodecSpec};
 use fedcav::trace::{export, CollectingTracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Demonstrate the wire codec the clients would use.
     let params = factory().flat_params();
-    let frame = codec::encode(&params, Some(2.31));
-    let decoded = codec::decode(&frame)?;
+    let frame = CodecSpec::Identity.build(&[]).encode(&params, Some(2.31), &[])?;
+    let decoded = wire::decode(&frame, &[])?;
     println!(
         "wire frame: {} params -> {} bytes (loss included: {:?})",
         params.len(),

@@ -5,8 +5,9 @@
 //! contracts that interaction relies on:
 //!
 //! 1. **encode→decode identity**: parameters already snapped onto the f16
-//!    grid survive `codec::encode`/`codec::decode` bit-for-bit (the wire
-//!    is little-endian f32 and must not re-round them),
+//!    grid survive the identity wire codec (`wire::decode` of a
+//!    `CodecSpec::Identity` frame) bit-for-bit (the scheme carries
+//!    little-endian f32 bit patterns and must not re-round them),
 //! 2. **monotone nearest rounding**: `F16::quantize` is monotone,
 //!    idempotent, and each value lands on the nearest grid point (half-ulp
 //!    bound),
@@ -16,8 +17,15 @@
 //!    validation stage's job, not the wire's), and the uint8 quantizer
 //!    refuses them outright.
 
-use fedcav::nn::{codec, quant};
+use fedcav::nn::quant;
+use fedcav::nn::wire::{self, CodecSpec, WireFrame};
 use fedcav::tensor::f16::{F16, F16_MAX};
+
+/// Encode with the identity (f32) wire scheme and decode straight back.
+fn identity_round_trip(params: &[f32], loss: Option<f32>) -> WireFrame {
+    let frame = CodecSpec::Identity.build(&[]).encode(params, loss, &[]).expect("encode");
+    wire::decode(&frame, &[]).expect("decode")
+}
 
 /// SplitMix64 — the same tiny seeded generator as `kernel_properties.rs`.
 struct Gen {
@@ -73,7 +81,7 @@ fn f16_grid_params_round_trip_the_wire_codec_bit_exactly() {
     assert!(moved > 1000, "only {moved}/4096 values moved when snapped to the f16 grid");
 
     let loss = F16::quantize(0.731);
-    let frame = codec::decode(&codec::encode(&snapped, Some(loss))).expect("decode");
+    let frame = identity_round_trip(&snapped, Some(loss));
     assert_eq!(frame.params.len(), snapped.len());
     for (i, (sent, got)) in snapped.iter().zip(&frame.params).enumerate() {
         assert_eq!(sent.to_bits(), got.to_bits(), "param {i} re-rounded in flight");
@@ -93,7 +101,7 @@ fn every_f16_bit_pattern_survives_widen_encode_decode_narrow() {
     // the codec, narrow back — the storage bits must be untouched. NaNs
     // keep NaN-ness (payloads canonicalise on the narrow, by design).
     let all: Vec<f32> = (0..=u16::MAX).map(|bits| F16(bits).to_f32()).collect();
-    let frame = codec::decode(&codec::encode(&all, None)).expect("decode");
+    let frame = identity_round_trip(&all, None);
     let mut non_finite = 0usize;
     for (bits, &wide) in frame.params.iter().enumerate() {
         let back = F16::from_f32(wide);
@@ -177,7 +185,7 @@ fn wire_codec_carries_non_finite_bits_unchanged() {
     // must not launder a NaN into something plausible.
     let specials =
         [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::from_bits(0xFF92_1234), -0.0, F16_MAX];
-    let frame = codec::decode(&codec::encode(&specials, Some(f32::NAN))).expect("decode");
+    let frame = identity_round_trip(&specials, Some(f32::NAN));
     for (i, (sent, got)) in specials.iter().zip(&frame.params).enumerate() {
         assert_eq!(sent.to_bits(), got.to_bits(), "special {i} altered in flight");
     }

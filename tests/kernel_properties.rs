@@ -388,8 +388,9 @@ fn prop_arena_conv_is_bit_identical_to_per_call_allocation() {
             Tensor::from_vec(fresh.dims(), g.fill(fresh.numel())).map_err(|e| e.to_string())?;
         let fresh_b =
             conv2d_backward_im2col(&input, &weight, &d_out, params).map_err(|e| e.to_string())?;
-        let arena_b = conv2d_backward_im2col_with(&input, &weight, &d_out, params, &mut scratch)
-            .map_err(|e| e.to_string())?;
+        let arena_b =
+            conv2d_backward_im2col_with(&input, &weight, &d_out, params, true, &mut scratch)
+                .map_err(|e| e.to_string())?;
         for (label, x, y) in [
             ("d_input", &fresh_b.d_input, &arena_b.d_input),
             ("d_weight", &fresh_b.d_weight, &arena_b.d_weight),

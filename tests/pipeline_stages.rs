@@ -8,7 +8,7 @@ use fedcav::data::{partition, Dataset, SyntheticConfig, SyntheticKind};
 use fedcav::fl::stages::{self, ClientOutcome, RoundContext};
 use fedcav::fl::{
     AlwaysAvailable, ClientExecutor, CommModel, CommStats, FedAvg, LocalConfig, LocalUpdate,
-    ModelFactory,
+    ModelFactory, UpdateMeta,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,12 +45,13 @@ fn a_round_loop_composes_by_hand_from_the_public_stages() {
     let env = stages::training::TrainingEnv {
         factory,
         global: &global,
-        clients: &clients,
+        clients: stages::training::Clients::Datasets(&clients),
         local,
         seed: 11,
         fault_model: None,
     };
-    stages::training::run(&mut ctx, &env, ClientExecutor::Sequential);
+    let cohort = ctx.participants.clone();
+    stages::training::run(&mut ctx, &cohort, &env, ClientExecutor::Sequential);
     assert!(ctx
         .outcomes
         .iter()
@@ -64,12 +65,15 @@ fn a_round_loop_composes_by_hand_from_the_public_stages() {
         global: &global,
         transport: None,
     };
-    stages::delivery::run(&mut ctx, delivery_env, &mut comm_stats, None).expect("delivery");
+    stages::delivery::run(&mut ctx, &delivery_env, None).expect("delivery");
+    stages::delivery::bill(&mut ctx, &delivery_env, &mut comm_stats);
     assert_eq!(ctx.delivered, 3);
     assert_eq!(comm_stats.total_up, ctx.bytes_up);
 
     stages::validation::run(&mut ctx, global.len(), None);
     assert_eq!(ctx.surviving(), 3);
+    let metas: Vec<UpdateMeta> = ctx.updates.iter().map(UpdateMeta::of).collect();
+    stages::validation::close(&mut ctx, &metas);
     assert!(ctx.mean_inference_loss > 0.0);
 
     stages::aggregation::run(&mut ctx, &mut strategy, Arc::make_mut(&mut global), 1)
@@ -95,6 +99,8 @@ fn validation_stage_quarantines_poison_without_running_training() {
         LocalUpdate::new(1, vec![f32::NAN, 0.0, 0.0], 0.5, 10),
     ];
     stages::validation::run(&mut ctx, 3, None);
+    let metas: Vec<UpdateMeta> = ctx.updates.iter().map(UpdateMeta::of).collect();
+    stages::validation::close(&mut ctx, &metas);
     assert_eq!(ctx.surviving(), 1, "the NaN update is gone");
     assert_eq!(ctx.telemetry.quarantined, 1);
     assert!(ctx.mean_inference_loss.is_finite());

@@ -10,7 +10,7 @@
 //! (a) `OnlineSoftmax` finalization is invariant under any shard
 //!     partitioning of a NaN/Inf-poisoned loss corpus (bit-for-bit against
 //!     `contribution_weights`),
-//! (b) the full shard pipeline — `ShardAccumulator` → `merge_shards` →
+//! (b) the full shard pipeline — per-shard `UpdateMeta` harvest →
 //!     `Strategy::streaming_weights` → `ParamFold` — reproduces
 //!     `FedCav::aggregate` bit-for-bit over fuzzed update sets, for every
 //!     shard size,
@@ -21,7 +21,14 @@
 //!     same clients at full participation — under both `ClientExecutor`
 //!     modes (sequential and scoped threads), pinned explicitly so the
 //!     suite covers both `FEDCAV_EXECUTOR` settings regardless of the
-//!     ambient env.
+//!     ambient env,
+//! (e) the population source of the one round driver behaves like the
+//!     datasets source over the same clients — identical fault telemetry,
+//!     quorum state and deadline verdicts, and an interceptor that sees the
+//!     whole cohort at once — and its keep-or-regenerate rule
+//!     is invisible: one pass (cohort ≤ shard size) and two passes give the
+//!     same bits and records for scalar-weighted, detection-rejecting and
+//!     parameter-only strategies, with tracing on or off.
 //!
 //! Every fuzzed corpus is vacuity-guarded: the suite fails if the random
 //! stream never produced the NaN/Inf spikes it claims to exercise.
@@ -30,14 +37,17 @@ use fedcav::core::weights::contribution_weights;
 use fedcav::core::{FedCav, FedCavConfig, OnlineSoftmax};
 use fedcav::data::SyntheticConfig;
 use fedcav::data::SyntheticKind;
-use fedcav::fl::stages::aggregation::{merge_shards, ParamFold, ShardAccumulator};
+use fedcav::fl::stages::aggregation::ParamFold;
 use fedcav::fl::{
-    Aggregation, ClientExecutor, LocalConfig, LocalUpdate, Population, RoundContext, ShardedConfig,
-    ShardedSimulation, Simulation, SimulationConfig, Strategy, UpdateMeta, WeightDecision,
+    Aggregation, ClientExecutor, CollectingTracer, Corruption, FaultModel, FaultPolicy, FedAvg,
+    InjectedFault, Interceptor, LocalConfig, LocalUpdate, LogNormalLatency, ModelFactory,
+    Population, RoundContext, RoundRecord, ShardedConfig, ShardedSimulation, Simulation,
+    SimulationConfig, Strategy, UpdateMeta, WeightDecision,
 };
 use fedcav::nn::{models, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------- harness
 
@@ -151,15 +161,11 @@ fn shard_pipeline_reproduces_materialized_fedcav_bit_for_bit() {
         };
 
         for shard in [1usize, 2, 3, 7, 64] {
-            let mut shards = Vec::new();
-            for (idx, chunk) in updates.chunks(shard).enumerate() {
-                let mut acc = ShardAccumulator::new(idx);
-                for u in chunk {
-                    acc.fold(u);
-                }
-                shards.push(acc);
+            // Pass 1 harvests scalars shard by shard, in cohort order.
+            let mut metas: Vec<UpdateMeta> = Vec::new();
+            for chunk in updates.chunks(shard) {
+                metas.extend(chunk.iter().map(UpdateMeta::of));
             }
-            let metas = merge_shards(shards);
             let decision = FedCav::new(FedCavConfig::default())
                 .streaming_weights(&ctx, &metas)
                 .expect("streaming weights")
@@ -305,4 +311,259 @@ fn driver_equivalence_holds_under_both_executor_modes() {
     let sh_threads = run_sharded(n, 2, ClientExecutor::ScopedThreads(4));
     assert_eq!(bits(&mat_threads), bits(&sequential), "materialized driver not thread-invariant");
     assert_eq!(bits(&sh_threads), bits(&sequential), "sharded driver diverged under threads");
+}
+
+// ------------------------------ (e) one driver over two client sources
+
+/// Full-participation config shared by the source-equivalence cases.
+fn full_participation() -> SimulationConfig {
+    SimulationConfig { sample_ratio: 1.0, local: local(), eval_batch: 64, seed: SEED }
+}
+
+/// Client 3 crashes and client 1 uploads NaN parameters, every round.
+struct CrashAndNan;
+
+impl FaultModel for CrashAndNan {
+    fn inject(&self, _seed: u64, _round: usize, client: usize) -> Option<InjectedFault> {
+        match client {
+            1 => Some(InjectedFault::CorruptParams(Corruption::Nan)),
+            3 => Some(InjectedFault::Crash),
+            _ => None,
+        }
+    }
+}
+
+/// The datasets source over `pop.materialize_all()`.
+fn datasets_sim<'a>(
+    f: &'a ModelFactory,
+    pop: &Population,
+    strategy: Box<dyn Strategy + 'a>,
+) -> Simulation<'a> {
+    let clients = pop.materialize_all().expect("materialize population");
+    let test = pop.test_set().expect("test set");
+    Simulation::new(f, clients, test, strategy, full_participation())
+}
+
+/// The population source over `pop` itself.
+fn population_sim<'a>(
+    f: &'a ModelFactory,
+    pop: Population,
+    shard_size: usize,
+    strategy: Box<dyn Strategy + 'a>,
+) -> Simulation<'a> {
+    Simulation::over_population(f, pop, shard_size, strategy, full_participation())
+}
+
+/// A round record with its wall-clock phase timings zeroed: everything
+/// else is deterministic.
+fn without_phases(records: &[RoundRecord]) -> Vec<RoundRecord> {
+    records.iter().map(|r| RoundRecord { phases: Default::default(), ..r.clone() }).collect()
+}
+
+#[test]
+fn fault_telemetry_is_identical_across_client_sources() {
+    for executor in [ClientExecutor::Sequential, ClientExecutor::ScopedThreads(4)] {
+        let f = factory();
+        let pop = population(5);
+        let strategy = || Box::new(FedCav::new(FedCavConfig::default()));
+        let mut datasets = datasets_sim(&f, &pop, strategy());
+        // Shards {0, 1}, {2, 3}, {4}: the quarantine (client 1) is recorded
+        // in an earlier shard than the crash (client 3), the reverse of the
+        // one-pass stage order.
+        let mut streamed = population_sim(&f, pop, 2, strategy());
+        for sim in [&mut datasets, &mut streamed] {
+            sim.set_executor(executor).set_fault_model(Box::new(CrashAndNan));
+            sim.run(ROUNDS).expect("run");
+        }
+        let (d, s) = (&datasets.history().records, &streamed.history().records);
+        for (a, b) in d.iter().zip(s) {
+            assert_eq!(a.faults, b.faults, "{executor:?} round {}", a.round);
+            assert_eq!(a.faults.dropped, 1, "vacuity: the crash was recorded");
+            assert_eq!(a.faults.quarantined, 1, "vacuity: the NaN upload was quarantined");
+            assert!(!a.faults.degraded);
+            assert_eq!(a.aggregated(), b.aggregated());
+            assert_eq!(a.bytes_up, b.bytes_up);
+        }
+        assert_eq!(d.len(), s.len());
+        assert_eq!(bits(datasets.global()), bits(streamed.global()), "{executor:?}");
+    }
+}
+
+#[test]
+fn deadline_times_out_the_same_clients_across_client_sources() {
+    let latency = LogNormalLatency { median: 1.0, client_sigma: 0.8, round_sigma: 0.3, seed: 5 };
+    let policy = FaultPolicy { deadline: Some(1.2), ..Default::default() };
+    let f = factory();
+    let pop = population(8);
+    let mut datasets = datasets_sim(&f, &pop, Box::new(FedAvg::new()));
+    let mut streamed = population_sim(&f, pop, 3, Box::new(FedAvg::new()));
+    for sim in [&mut datasets, &mut streamed] {
+        sim.set_executor(ClientExecutor::Sequential)
+            .set_latency(Box::new(latency))
+            .set_fault_policy(policy);
+        sim.run(ROUNDS).expect("run");
+    }
+    let timed_out = |sim: &Simulation<'_>| -> Vec<Vec<usize>> {
+        let records = &sim.history().records;
+        records.iter().map(|r| r.faults.events.iter().map(|e| e.client).collect()).collect()
+    };
+    let expected = timed_out(&datasets);
+    assert!(expected.iter().any(|r| !r.is_empty()), "vacuity: nobody missed the deadline");
+    assert!(expected.iter().all(|r| r.len() < 8), "vacuity: everybody missed the deadline");
+    assert_eq!(timed_out(&streamed), expected);
+    for (a, b) in datasets.history().records.iter().zip(&streamed.history().records) {
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.round_duration, b.round_duration);
+        assert_eq!(a.sim_time, b.sim_time);
+    }
+    assert_eq!(bits(datasets.global()), bits(streamed.global()));
+}
+
+/// Every client's round-0 upload is finite garbage, which FedCav averages
+/// into a broken model; round 1's losses then all exceed round 0's maximum
+/// and detection rejects the round.
+struct GarbageFirstRound;
+
+impl FaultModel for GarbageFirstRound {
+    fn inject(&self, _seed: u64, round: usize, _client: usize) -> Option<InjectedFault> {
+        (round == 0).then_some(InjectedFault::CorruptParams(Corruption::Garbage(5.0)))
+    }
+}
+
+/// Aggregates exactly like FedAvg but answers no scalar weight query, so a
+/// two-pass round takes the materialized fallback.
+struct NeedsParams;
+
+impl Strategy for NeedsParams {
+    fn name(&self) -> &'static str {
+        "NeedsParams"
+    }
+
+    fn aggregate(
+        &mut self,
+        _ctx: &RoundContext<'_>,
+        updates: &[LocalUpdate],
+    ) -> fedcav::fl::Result<Aggregation> {
+        fedcav::fl::aggregate::sample_weights(updates)
+            .and_then(|w| fedcav::fl::aggregate::weighted_sum(updates, &w))
+            .map(Aggregation::Accept)
+    }
+}
+
+#[test]
+fn one_pass_and_two_pass_rounds_are_bit_identical() {
+    let n = 6;
+    let rounds = 3;
+    for name in ["FedCav", "FedAvg", "NeedsParams"] {
+        // FedCav sees a garbage round, so its detection rejects the next.
+        let garbage = name == "FedCav";
+        let strategy = || -> Box<dyn Strategy> {
+            match name {
+                "FedCav" => Box::new(FedCav::new(FedCavConfig::default())),
+                "FedAvg" => Box::new(FedAvg::new()),
+                _ => Box::new(NeedsParams),
+            }
+        };
+        let run = |shard_size: usize| {
+            let f = factory();
+            let mut sim = population_sim(&f, population(n), shard_size, strategy());
+            sim.set_executor(ClientExecutor::Sequential);
+            if garbage {
+                sim.set_fault_model(Box::new(GarbageFirstRound));
+            }
+            sim.run(rounds).expect("run");
+            (bits(sim.global()), without_phases(&sim.history().records))
+        };
+        let (one_pass, one_records) = run(n);
+        if garbage {
+            assert!(one_records.iter().any(|r| r.rejected), "{name}: vacuity: nothing rejected");
+        }
+        for shard_size in [1usize, 2, 4] {
+            let (two_pass, two_records) = run(shard_size);
+            assert_eq!(two_pass, one_pass, "{name}: shard size {shard_size} moved the model");
+            assert_eq!(two_records, one_records, "{name}: shard size {shard_size} moved a record");
+        }
+    }
+}
+
+#[test]
+fn tracing_observes_population_rounds_without_perturbing_them() {
+    let run = |traced: bool| {
+        let f = factory();
+        let mut sim =
+            population_sim(&f, population(6), 2, Box::new(FedCav::new(FedCavConfig::default())));
+        sim.set_executor(ClientExecutor::Sequential);
+        let tracer = Arc::new(CollectingTracer::new());
+        if traced {
+            sim.set_tracer(tracer.clone());
+        }
+        sim.run(ROUNDS).expect("run");
+        (bits(sim.global()), sim.history().records.clone(), tracer.events())
+    };
+    let (plain, plain_records, plain_events) = run(false);
+    let (traced, traced_records, events) = run(true);
+    assert_eq!(plain, traced, "tracing must not perturb results");
+    assert_eq!(without_phases(&plain_records), without_phases(&traced_records));
+    assert!(plain_events.is_empty());
+    for name in [
+        "round",
+        "round.sampling",
+        "round.training",
+        "round.delivery",
+        "round.validation",
+        "round.aggregation",
+        "round.evaluation",
+    ] {
+        assert!(events.iter().any(|e| e.name == name), "missing span {name}");
+    }
+    for r in &traced_records {
+        let p = r.phases;
+        assert!(p.training_ns > 0 && p.aggregation_ns > 0, "round {}: {p:?}", r.round);
+        assert!(p.phase_sum_ns() <= p.total_ns, "round {}: {p:?}", r.round);
+    }
+}
+
+/// Replaces the first update with the unchanged global model and logs how
+/// many updates each call saw.
+struct ReplaceFirst(Arc<Mutex<Vec<usize>>>);
+
+impl Interceptor for ReplaceFirst {
+    fn intercept(
+        &mut self,
+        _round: usize,
+        global: &[f32],
+        updates: &mut Vec<LocalUpdate>,
+    ) -> fedcav::fl::Result<()> {
+        self.0.lock().expect("interceptor log").push(updates.len());
+        if let Some(first) = updates.first_mut() {
+            first.params = global.to_vec();
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn an_interceptor_sees_the_whole_population_cohort() {
+    let f = factory();
+    let pop = population(6);
+    let strategy = || Box::new(FedCav::new(FedCavConfig::default()));
+    let seen = [Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(Vec::new()))];
+    let mut datasets = datasets_sim(&f, &pop, strategy());
+    // Shard size 2 < cohort 6: without the interceptor this would be a
+    // two-pass round.
+    let mut streamed = population_sim(&f, pop, 2, strategy());
+    for (sim, log) in [&mut datasets, &mut streamed].into_iter().zip(&seen) {
+        sim.set_executor(ClientExecutor::Sequential)
+            .set_interceptor(Box::new(ReplaceFirst(Arc::clone(log))));
+        sim.run(ROUNDS).expect("run");
+    }
+    for log in &seen {
+        assert_eq!(*log.lock().expect("log"), vec![6; ROUNDS], "one call per round, whole cohort");
+    }
+    for (a, b) in datasets.history().records.iter().zip(&streamed.history().records) {
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.mean_inference_loss.to_bits(), b.mean_inference_loss.to_bits());
+        assert_eq!(a.rejected, b.rejected);
+    }
+    assert_eq!(bits(datasets.global()), bits(streamed.global()));
 }

@@ -8,7 +8,8 @@ use fedcav::fl::{
     BernoulliAvailability, CommModel, FedAvg, LocalConfig, LogNormalLatency, Simulation,
     SimulationConfig,
 };
-use fedcav::nn::{codec, models, Sequential};
+use fedcav::nn::wire::{self, CodecSpec};
+use fedcav::nn::{models, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,8 +53,9 @@ fn local_update_round_trips_through_wire_codec() {
     .expect("local update");
 
     // Client-side encode, server-side decode: bit-exact params + loss.
-    let frame = codec::encode(&update.params, Some(update.inference_loss));
-    let decoded = codec::decode(&frame).expect("decode");
+    let codec = CodecSpec::Identity.build(&[]);
+    let frame = codec.encode(&update.params, Some(update.inference_loss), &[]).expect("encode");
+    let decoded = wire::decode(&frame, &[]).expect("decode");
     assert_eq!(decoded.params, update.params);
     assert_eq!(decoded.inference_loss, Some(update.inference_loss));
 
