@@ -2,8 +2,9 @@
 //! for *new* findings while legacy ones are paid down deliberately.
 //!
 //! A baseline is a JSON file of entries, each naming a rule, a file, a
-//! message-substring `context` to pin the specific finding, and a
-//! **mandatory reason** explaining why it is tolerated rather than fixed:
+//! message-substring `context` to pin the specific finding, the **count**
+//! of such findings it tolerates, and a **mandatory reason** explaining
+//! why they are tolerated rather than fixed:
 //!
 //! ```json
 //! {
@@ -12,17 +13,21 @@
 //!     { "rule": "wallclock-in-round-loop",
 //!       "file": "crates/fl/src/centralized.rs",
 //!       "context": "Instant::now",
+//!       "count": 2,
 //!       "reason": "phase telemetry only; feeds RoundRecord.phases, never the model" }
 //!   ]
 //! }
 //! ```
 //!
 //! The ratchet discipline:
-//! * a finding matched by an entry is *legacy*: reported as tolerated,
-//!   never failing `--deny`;
-//! * a finding matched by no entry is *new*: `--deny` fails;
-//! * an entry matching no finding is *stale*: reported so the file shrinks
-//!   as debt is paid — the baseline only ever ratchets down.
+//! * a finding matched by an entry with room left under its `count` is
+//!   *legacy*: reported as tolerated, never failing `--deny`;
+//! * a finding matched by no entry, or only by entries whose `count` is
+//!   used up, is *new*: `--deny` fails — so a new finding in a baselined
+//!   file cannot hide behind the old ones;
+//! * an entry matching fewer findings than its `count` is *stale*:
+//!   reported so the count (or, at zero, the entry) goes down as debt is
+//!   paid — the baseline only ever ratchets down.
 //!
 //! Entries are matched by exact rule + file and `message.contains(context)`
 //! (empty context pins the whole file for that rule). Like the rest of the
@@ -41,6 +46,8 @@ pub struct BaselineEntry {
     /// Substring the finding's message must contain; empty matches any
     /// message of `rule` in `file`.
     pub context: String,
+    /// How many matching findings this entry tolerates (at least 1).
+    pub count: usize,
     /// Why this finding is tolerated (mandatory, non-empty).
     pub reason: String,
 }
@@ -59,7 +66,10 @@ pub struct BaselineOutcome {
     pub new: Vec<Diagnostic>,
     /// `(entry index, finding)` pairs for tolerated legacy findings.
     pub legacy: Vec<(usize, Diagnostic)>,
-    /// Indices of entries that matched nothing — stale debt to delete.
+    /// Findings tolerated per entry, by entry index (at most its `count`).
+    pub matched: Vec<usize>,
+    /// Indices of entries that matched fewer findings than their `count`
+    /// — stale debt: lower the count, or delete the entry at zero.
     pub stale: Vec<usize>,
 }
 
@@ -102,6 +112,13 @@ impl Baseline {
             let rule = get("rule").ok_or_else(|| format!("entry {i}: missing `rule`"))?;
             let file = get("file").ok_or_else(|| format!("entry {i}: missing `file`"))?;
             let context = get("context").unwrap_or_default();
+            let count = match e.iter().find(|(key, _)| key == "count").map(|(_, v)| v) {
+                Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 1.0 => *n as usize,
+                Some(_) => {
+                    return Err(format!("entry {i}: `count` must be a whole number of at least 1"))
+                }
+                None => return Err(format!("entry {i}: missing `count`")),
+            };
             let reason = get("reason").ok_or_else(|| format!("entry {i}: missing `reason`"))?;
             if reason.trim().is_empty() {
                 return Err(format!(
@@ -109,40 +126,50 @@ impl Baseline {
                      finding is tolerated instead of fixed"
                 ));
             }
-            entries.push(BaselineEntry { rule, file, context, reason });
+            entries.push(BaselineEntry { rule, file, context, count, reason });
         }
         Ok(Baseline { entries })
     }
 
     /// Split findings into new vs. baseline-tolerated, and report stale
-    /// entries. An entry may match several findings (e.g. one reason
-    /// covering every line of a file).
+    /// entries. An entry tolerates up to `count` findings (e.g. one reason
+    /// covering every line of a file); findings past every matching
+    /// entry's `count` are new.
     pub fn apply(&self, diags: Vec<Diagnostic>) -> BaselineOutcome {
-        let mut used = vec![false; self.entries.len()];
+        let mut matched = vec![0usize; self.entries.len()];
         let mut new = Vec::new();
         let mut legacy = Vec::new();
         for d in diags {
-            let hit = self.entries.iter().position(|e| {
-                e.rule == d.rule
+            let hit = self.entries.iter().zip(&matched).position(|(e, &m)| {
+                m < e.count
+                    && e.rule == d.rule
                     && e.file == d.file
                     && (e.context.is_empty() || d.message.contains(&e.context))
             });
             match hit {
                 Some(i) => {
-                    used[i] = true;
+                    matched[i] += 1;
                     legacy.push((i, d));
                 }
                 None => new.push(d),
             }
         }
-        let stale = used.iter().enumerate().filter(|(_, u)| !**u).map(|(i, _)| i).collect();
-        BaselineOutcome { new, legacy, stale }
+        let stale = self
+            .entries
+            .iter()
+            .zip(&matched)
+            .enumerate()
+            .filter(|(_, (e, &m))| m < e.count)
+            .map(|(i, _)| i)
+            .collect();
+        BaselineOutcome { new, legacy, matched, stale }
     }
 
     /// Render findings as a fresh baseline file — one entry per distinct
     /// `(rule, file, context)`, where context is the finding's leading
     /// backtick-quoted construct (so the entry survives line churn but not
-    /// findings of a different shape). Reasons are stamped `TODO` — the
+    /// findings of a different shape), counting the findings it covers.
+    /// Reasons are stamped `TODO` — the
     /// author must replace each with a real justification before
     /// committing, which is the point: baselining is a decision, not a
     /// default.
@@ -160,16 +187,23 @@ impl Baseline {
             })
             .collect();
         keys.sort();
-        keys.dedup();
+        let mut counted: Vec<(&(String, &'static str, String), usize)> = Vec::new();
+        for key in &keys {
+            match counted.last_mut() {
+                Some((last, n)) if *last == key => *n += 1,
+                _ => counted.push((key, 1)),
+            }
+        }
         let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [\n");
-        for (i, (file, rule, context)) in keys.iter().enumerate() {
+        for (i, ((file, rule, context), count)) in counted.iter().enumerate() {
             out.push_str(&format!(
-                "    {{ \"rule\": {}, \"file\": {}, \"context\": {}, \"reason\": {} }}{}\n",
+                "    {{ \"rule\": {}, \"file\": {}, \"context\": {}, \"count\": {count}, \
+                 \"reason\": {} }}{}\n",
                 json_str(rule),
                 json_str(file),
                 json_str(context),
                 json_str("TODO: justify this legacy finding or fix it"),
-                if i + 1 < keys.len() { "," } else { "" }
+                if i + 1 < counted.len() { "," } else { "" }
             ));
         }
         out.push_str("  ]\n}\n");
@@ -320,7 +354,7 @@ mod tests {
     fn unmatched_findings_are_new_and_unused_entries_stale() {
         let b = Baseline::parse(
             r#"{ "version": 1, "entries": [
-                { "rule": "r-old", "file": "a.rs", "context": "", "reason": "legacy" }
+                { "rule": "r-old", "file": "a.rs", "context": "", "count": 1, "reason": "legacy" }
             ] }"#,
         )
         .unwrap();
@@ -334,7 +368,7 @@ mod tests {
     fn one_entry_covers_multiple_findings() {
         let b = Baseline::parse(
             r#"{ "version": 1, "entries": [
-                { "rule": "r", "file": "a.rs", "context": "`x`", "reason": "both sites checked" }
+                { "rule": "r", "file": "a.rs", "context": "`x`", "count": 2, "reason": "both sites checked" }
             ] }"#,
         )
         .unwrap();
@@ -346,15 +380,83 @@ mod tests {
     #[test]
     fn missing_reason_is_rejected() {
         let err = Baseline::parse(
-            r#"{ "version": 1, "entries": [ { "rule": "r", "file": "a.rs", "reason": " " } ] }"#,
+            r#"{ "version": 1, "entries": [ { "rule": "r", "file": "a.rs", "count": 1, "reason": " " } ] }"#,
         )
         .unwrap_err();
         assert!(err.contains("reason"), "{err}");
         let err2 = Baseline::parse(
-            r#"{ "version": 1, "entries": [ { "rule": "r", "file": "a.rs" } ] }"#,
+            r#"{ "version": 1, "entries": [ { "rule": "r", "file": "a.rs", "count": 1 } ] }"#,
         )
         .unwrap_err();
         assert!(err2.contains("reason"), "{err2}");
+    }
+
+    fn entry(count: usize) -> Baseline {
+        Baseline::parse(&format!(
+            r#"{{ "version": 1, "entries": [
+                {{ "rule": "r", "file": "a.rs", "context": "`x`", "count": {count}, "reason": "checked" }}
+            ] }}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn findings_beyond_an_entrys_count_are_new() {
+        let findings = || (0..3).map(|i| diag("r", "a.rs", &format!("use of `x` #{i}"))).collect();
+        let out = entry(2).apply(findings());
+        assert_eq!(out.legacy.len(), 2);
+        assert_eq!(out.new.len(), 1, "the third `x` must not hide behind the first two");
+        assert_eq!(out.new[0].message, "use of `x` #2");
+        assert_eq!(out.matched, vec![2]);
+        assert!(out.stale.is_empty());
+        // A second entry for the same finding shape extends the allowance.
+        let two = Baseline::parse(
+            r#"{ "version": 1, "entries": [
+                { "rule": "r", "file": "a.rs", "context": "`x`", "count": 2, "reason": "first" },
+                { "rule": "r", "file": "a.rs", "context": "", "count": 1, "reason": "rest" }
+            ] }"#,
+        )
+        .unwrap();
+        let out = two.apply(findings());
+        assert!(out.new.is_empty());
+        assert_eq!(out.matched, vec![2, 1]);
+    }
+
+    #[test]
+    fn an_entry_matching_fewer_findings_than_its_count_is_stale() {
+        let out = entry(3).apply(vec![diag("r", "a.rs", "use of `x`")]);
+        assert!(out.new.is_empty());
+        assert_eq!(out.matched, vec![1]);
+        assert_eq!(out.stale, vec![0], "count 3 over 1 finding must be lowered");
+        let exact = entry(1).apply(vec![diag("r", "a.rs", "use of `x`")]);
+        assert!(exact.stale.is_empty());
+    }
+
+    #[test]
+    fn render_counts_findings_per_entry() {
+        let d = vec![
+            diag("r", "b.rs", "use of `x` here"),
+            diag("r", "a.rs", "use of `x` here"),
+            diag("r", "a.rs", "use of `x` there"),
+            diag("r", "a.rs", "use of `y`"),
+        ];
+        let b = Baseline::parse(&Baseline::render(&d)).expect("rendered baseline parses");
+        let counts: Vec<_> =
+            b.entries.iter().map(|e| (e.file.as_str(), e.context.as_str(), e.count)).collect();
+        assert_eq!(counts, vec![("a.rs", "`x`", 2), ("a.rs", "`y`", 1), ("b.rs", "`x`", 1)]);
+        let out = b.apply(d);
+        assert!(out.new.is_empty() && out.stale.is_empty());
+    }
+
+    #[test]
+    fn missing_or_invalid_count_is_rejected() {
+        for count in ["", r#""count": 0,"#, r#""count": 1.5,"#, r#""count": "2","#] {
+            let src = format!(
+                r#"{{ "version": 1, "entries": [ {{ "rule": "r", "file": "a.rs", {count} "reason": "ok" }} ] }}"#
+            );
+            let err = Baseline::parse(&src).unwrap_err();
+            assert!(err.contains("count"), "{count}: {err}");
+        }
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! * `--json` — print findings as a JSON array instead of human lines.
 //! * `--json-out PATH` — additionally write the JSON report to `PATH`.
 //! * `--list-rules` — print the registered rules and exit.
-//! * `--baseline PATH` — tolerate the legacy findings listed in `PATH`
-//!   (see [`fedcav_analyze::baseline`]). When the flag is absent,
+//! * `--baseline PATH` — tolerate the legacy findings listed in `PATH`,
+//!   up to each entry's `count` (see [`fedcav_analyze::baseline`]). When
+//!   the flag is absent,
 //!   `ROOT/analyze-baseline.json` is loaded if it exists.
 //! * `--write-baseline PATH` — write the current findings as a baseline
-//!   file (reasons stamped `TODO` — justify each before committing).
+//!   file with per-entry counts (reasons stamped `TODO` — justify each
+//!   before committing).
 //!
 //! Exit codes: 0 clean (or findings without `--deny`), 1 new findings
 //! under `--deny`, 2 usage or IO error (including an unparseable
@@ -157,10 +159,9 @@ fn main() -> ExitCode {
             io_failed = true;
         } else {
             eprintln!(
-                "fedcav-analyze: wrote {} entr{} to {} — replace each TODO reason before \
+                "fedcav-analyze: wrote {} finding(s) to {} — replace each TODO reason before \
                  committing",
                 diags.len(),
-                if diags.len() == 1 { "y" } else { "ies" },
                 path.display()
             );
         }
@@ -192,8 +193,9 @@ fn main() -> ExitCode {
     for i in &outcome.stale {
         let e = &baseline.entries[*i];
         eprintln!(
-            "fedcav-analyze: stale baseline entry ({} in {}): matched nothing — delete it",
-            e.rule, e.file
+            "fedcav-analyze: stale baseline entry ({} in {}, {}): matched {} of its count {} \
+             — lower the count, or delete the entry at 0",
+            e.rule, e.file, e.context, outcome.matched[*i], e.count
         );
     }
     // The full (pre-baseline) report is the CI artifact: it must show

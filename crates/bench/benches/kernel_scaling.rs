@@ -1,5 +1,5 @@
 //! **EXT — kernel scaling trajectory:** GFLOP/s of every tensor backend
-//! (blocked, reference, f16) as the matmul problem grows, plus the conv
+//! (blocked, reference) as the matmul problem grows, plus the conv
 //! forward/backward pair at LeNet-5 shapes and the end-to-end mean round
 //! wall-clock per backend. The table answers "where does the
 //! cache-blocked kernel start paying off, and how much of it survives to
@@ -36,7 +36,7 @@ fn main() {
     }
 
     println!("# kernel_scaling: reps={reps}");
-    println!("kernel\tshape\tblocked_gflops\treference_gflops\tf16_gflops\tspeedup");
+    println!("kernel\tshape\tblocked_gflops\treference_gflops\tspeedup");
     let mut seen: Vec<(&str, String)> = Vec::new();
     for k in &report.kernels {
         let key = (k.kernel, k.shape.clone());
@@ -49,12 +49,9 @@ fn main() {
                 .iter()
                 .find(|o| o.kernel == k.kernel && o.shape == k.shape && o.backend == backend)
         };
-        if let (Some(b), Some(r), Some(h)) = (row("blocked"), row("reference"), row("f16")) {
+        if let (Some(b), Some(r)) = (row("blocked"), row("reference")) {
             let speedup = report.speedup(k.kernel, &k.shape).unwrap_or(0.0);
-            println!(
-                "{}\t{}\t{:.3}\t{:.3}\t{:.3}\t{:.2}",
-                k.kernel, k.shape, b.gflops, r.gflops, h.gflops, speedup
-            );
+            println!("{}\t{}\t{:.3}\t{:.3}\t{:.2}", k.kernel, k.shape, b.gflops, r.gflops, speedup);
         }
         seen.push(key);
     }

@@ -1,5 +1,5 @@
 //! `kernel_bench` — measure the tensor kernels under every backend
-//! (blocked, reference, f16) and write the `BENCH_kernels.json`
+//! (blocked, reference) and write the `BENCH_kernels.json`
 //! trajectory file.
 //!
 //! Usage: `cargo run -p fedcav-bench --release --bin kernel_bench --

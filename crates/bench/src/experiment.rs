@@ -11,7 +11,7 @@ use fedcav_fl::{
     LocalConfig, Simulation, SimulationConfig, Strategy,
 };
 use fedcav_nn::{models, Sequential};
-use fedcav_tensor::{backend_kind, force_backend_kind, BackendKind, Result};
+use fedcav_tensor::{backend_kind, Backend, BackendKind, CpuBlocked, Reference, Result};
 use fedcav_trace::Event;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,8 +151,9 @@ pub struct ExperimentSpec {
     /// across executors; only wall-clock changes. The presets read
     /// `FEDCAV_EXECUTOR` (e.g. `threads:4`) so CI can sweep it.
     pub executor: ClientExecutor,
-    /// Tensor backend forced for the run. The presets default to the
-    /// ambient [`backend_kind`], so `FEDCAV_BACKEND` still selects it from
+    /// Tensor backend the run's models are built on (see
+    /// [`ExperimentSpec::model_factory`]). The presets default to the
+    /// process [`backend_kind`], so `FEDCAV_BACKEND` still selects it from
     /// the environment; set explicitly to pin a spec to one backend.
     pub backend: BackendKind,
     /// Uplink wire codec for the federated runners. The presets default to
@@ -222,17 +223,27 @@ impl ExperimentSpec {
         cfg.generate()
     }
 
-    /// The paper's model for this dataset tier (§5.1.1), seeded for
-    /// reproducibility: every `factory()` call yields identical weights.
+    /// The paper's model for this dataset tier (§5.1.1) on `self.backend`,
+    /// seeded for reproducibility: every `factory()` call yields identical
+    /// weights.
     pub fn model_factory(&self) -> Box<dyn Fn() -> Sequential + Send + Sync> {
+        match self.backend {
+            BackendKind::CpuBlocked => self.model_factory_on::<CpuBlocked>(),
+            BackendKind::Reference => self.model_factory_on::<Reference>(),
+        }
+    }
+
+    fn model_factory_on<B: Backend>(&self) -> Box<dyn Fn() -> Sequential + Send + Sync> {
         let kind = self.kind;
         let seed = self.seed ^ 0xF00D;
         Box::new(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             match kind {
-                SyntheticKind::MnistLike => models::lenet5(&mut rng, 10),
-                SyntheticKind::FmnistLike => models::cnn9(&mut rng, 10),
-                SyntheticKind::Cifar10Like => models::resnet18_default(&mut rng, 10),
+                SyntheticKind::MnistLike => models::lenet5_on::<B, _>(&mut rng, 10),
+                SyntheticKind::FmnistLike => models::cnn9_on::<B, _>(&mut rng, 10),
+                SyntheticKind::Cifar10Like => {
+                    models::resnet18_on::<B, _>(&mut rng, 10, models::RESNET18_DEFAULT_WIDTH)
+                }
             }
         })
     }
@@ -259,7 +270,6 @@ pub fn run_standard_with(
     algo: Algo,
     tracer: Option<Arc<CollectingTracer>>,
 ) -> Result<History> {
-    force_backend_kind(spec.backend);
     let (train, test) = spec.data()?;
     let factory = spec.model_factory();
     if algo == Algo::Centralized {
@@ -343,7 +353,6 @@ pub fn run_fresh_class(
     algo: Algo,
     pretrain_rounds: usize,
 ) -> Result<FreshClassOutcome> {
-    force_backend_kind(spec.backend);
     let (train, test) = spec.data()?;
     let factory = spec.model_factory();
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0xA1FA);
@@ -398,7 +407,6 @@ pub fn run_under_attack(
     attack_round: usize,
     poison_fraction: f64,
 ) -> Result<History> {
-    force_backend_kind(spec.backend);
     let (train, test) = spec.data()?;
     let factory = spec.model_factory();
     let mut rng = StdRng::seed_from_u64(spec.seed ^ X_ATTACK_SEED);
@@ -494,6 +502,45 @@ mod tests {
         let plain = run_standard(&spec, Dist::IidBalanced, Algo::FedAvg).unwrap();
         let (traced, _) = run_standard_traced(&spec, Dist::IidBalanced, Algo::FedAvg).unwrap();
         assert_eq!(strip(&plain), strip(&traced));
+    }
+
+    #[test]
+    fn concurrent_runs_on_different_backends_match_their_solo_runs() {
+        // A spec's backend belongs to its run alone: two runs on different
+        // backends, started together, must each reproduce their solo run.
+        let zero_phases = |h: History| {
+            h.records
+                .into_iter()
+                .map(|mut r| {
+                    r.phases = Default::default();
+                    r
+                })
+                .collect::<Vec<_>>()
+        };
+        let run = |backend: BackendKind| {
+            let spec = ExperimentSpec { backend, ..tiny_spec() };
+            zero_phases(run_standard(&spec, Dist::IidBalanced, Algo::FedAvg).unwrap())
+        };
+        let solo_blocked = run(BackendKind::CpuBlocked);
+        let solo_reference = run(BackendKind::Reference);
+        // Vacuity guard: a run on the wrong backend must be visible.
+        assert_ne!(solo_blocked, solo_reference, "the two backends' histories coincide");
+        for _ in 0..4 {
+            let barrier = std::sync::Barrier::new(2);
+            let (blocked, reference) = std::thread::scope(|s| {
+                let blocked = s.spawn(|| {
+                    barrier.wait();
+                    run(BackendKind::CpuBlocked)
+                });
+                let reference = s.spawn(|| {
+                    barrier.wait();
+                    run(BackendKind::Reference)
+                });
+                (blocked.join().unwrap(), reference.join().unwrap())
+            });
+            assert_eq!(blocked, solo_blocked, "concurrent blocked run diverged from its solo run");
+            assert_eq!(reference, solo_reference, "concurrent reference run diverged");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Kernel benchmark machinery: measured GFLOP/s and ns/op for the tensor
 //! hot paths (matmul, conv forward/backward) under every registered
-//! backend (`blocked`, `reference`, `f16`), plus end-to-end mean round
+//! backend (`blocked`, `reference`), plus end-to-end mean round
 //! wall-clock per backend, serialised to the `BENCH_kernels.json`
 //! trajectory file.
 //!
@@ -14,19 +14,19 @@
 //! source of noise on a quiet machine is additive.
 //!
 //! Per-backend kernels are timed through the static [`TensorOps`] methods
-//! of each backend type — no process-global state is touched, so the
-//! rows measure exactly what a model generic over that backend would run.
-//! Only the end-to-end figure goes through the process-global dispatch
-//! (via [`ExperimentSpec::backend`]), because the round loop does.
+//! of each backend type, so the rows measure exactly what a model generic
+//! over that backend would run. The end-to-end figure runs models built on
+//! the backend named by [`ExperimentSpec::backend`]. No process-global
+//! state is touched.
 
 use crate::experiment::{run_standard, Algo, Dist, ExperimentSpec};
 use fedcav_data::SyntheticKind;
 use fedcav_fl::{ClientExecutor, LocalConfig};
-use fedcav_tensor::backend::{Backend, CpuBlocked, F16Storage, Reference};
+use fedcav_tensor::backend::{Backend, CpuBlocked, Reference};
 use fedcav_tensor::conv::{conv2d_forward, Conv2dParams};
 use fedcav_tensor::im2col::Im2colScratch;
 use fedcav_tensor::matmul::Epilogue;
-use fedcav_tensor::{backend_kind, force_backend_kind, init, BackendKind, Tensor};
+use fedcav_tensor::{init, BackendKind, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -37,7 +37,6 @@ pub fn backend_token(kind: BackendKind) -> &'static str {
     match kind {
         BackendKind::CpuBlocked => CpuBlocked::NAME,
         BackendKind::Reference => Reference::NAME,
-        BackendKind::F16Storage => F16Storage::NAME,
     }
 }
 
@@ -48,13 +47,11 @@ pub struct KernelMeasurement {
     pub kernel: &'static str,
     /// Shape token, e.g. `256x256x256` or `n2c4h14w14_oc8k5`.
     pub shape: String,
-    /// Backend token: `blocked`, `reference` or `f16`.
+    /// Backend token: `blocked` or `reference`.
     pub backend: &'static str,
     /// Best observed wall-clock nanoseconds for one invocation.
     pub ns_per_op: f64,
-    /// Throughput implied by `ns_per_op` (FLOPs / ns ≡ GFLOP/s). For the
-    /// f16 backend this counts the same MAC lattice — quantization
-    /// overhead shows up as lost throughput, which is the point.
+    /// Throughput implied by `ns_per_op` (FLOPs / ns ≡ GFLOP/s).
     pub gflops: f64,
 }
 
@@ -63,7 +60,7 @@ pub struct KernelMeasurement {
 /// i.e. the `PhaseTimings` the round loop records).
 #[derive(Debug, Clone)]
 pub struct E2eMeasurement {
-    /// Backend token: `blocked`, `reference` or `f16`.
+    /// Backend token: `blocked` or `reference`.
     pub backend: &'static str,
     /// Mean wall-clock seconds per round.
     pub mean_round_wall_secs: f64,
@@ -176,8 +173,7 @@ impl MatmulShape {
 }
 
 /// Time one backend's matmul on one shape through its static
-/// [`TensorOps`] entry point (`Epilogue::None`, so every backend runs the
-/// identical per-element op sequence modulo its storage grid).
+/// [`TensorOps`] entry point (`Epilogue::None`).
 fn time_matmul<B: Backend>(
     shape: MatmulShape,
     reps: usize,
@@ -205,7 +201,6 @@ pub fn bench_matmul(shape: MatmulShape, reps: usize) -> Vec<KernelMeasurement> {
     vec![
         time_matmul::<CpuBlocked>(shape, reps, &a, &b),
         time_matmul::<Reference>(shape, reps, &a, &b),
-        time_matmul::<F16Storage>(shape, reps, &a, &b),
     ]
 }
 
@@ -270,9 +265,8 @@ fn time_conv<B: Backend>(
 }
 
 /// Time every backend's conv forward + backward on one shape: `blocked`
-/// and `f16` run the scratch-arena im2col lowering, `reference` the
-/// direct convolution — exactly the paths `fedcav_nn::Conv2d<B>`
-/// dispatches to. No process-global state is touched.
+/// runs the scratch-arena im2col lowering, `reference` the direct
+/// convolution — exactly the paths `fedcav_nn::Conv2d<B>` dispatches to.
 pub fn bench_conv(shape: ConvShape, reps: usize) -> Vec<KernelMeasurement> {
     let mut rng = StdRng::seed_from_u64(0xC0CA ^ 0x5A5A);
     let input = init::uniform(&mut rng, &[shape.n, shape.c, shape.hw, shape.hw], -1.0, 1.0);
@@ -283,7 +277,6 @@ pub fn bench_conv(shape: ConvShape, reps: usize) -> Vec<KernelMeasurement> {
 
     let mut out = time_conv::<CpuBlocked>(shape, reps, &input, &weight, &bias, &d_out);
     out.extend(time_conv::<Reference>(shape, reps, &input, &weight, &bias, &d_out));
-    out.extend(time_conv::<F16Storage>(shape, reps, &input, &weight, &bias, &d_out));
     out
 }
 
@@ -310,13 +303,11 @@ pub fn e2e_spec(tiny: bool) -> ExperimentSpec {
     }
 }
 
-/// Mean round wall-seconds of one standard FedCav run on `backend`. The
-/// ambient process-global backend is restored before returning.
+/// Mean round wall-seconds of one standard FedCav run with its models
+/// built on `backend`.
 pub fn bench_e2e(spec: &ExperimentSpec, backend: BackendKind) -> E2eMeasurement {
-    let ambient = backend_kind();
     let spec = ExperimentSpec { backend, ..*spec };
     let history = run_standard(&spec, Dist::NonIidBalanced, Algo::FedCav).expect("e2e run");
-    force_backend_kind(ambient);
     E2eMeasurement {
         backend: backend_token(backend),
         mean_round_wall_secs: history.mean_round_wall_secs().unwrap_or(0.0),
@@ -434,18 +425,5 @@ mod tests {
             assert!(e.mean_round_wall_secs > 0.0);
             assert_eq!(e.rounds, 2);
         }
-    }
-
-    #[test]
-    fn e2e_restores_the_ambient_backend() {
-        // The offline harness runs tests with --test-threads=1, so forcing
-        // the process-global backend here cannot race another test.
-        let ambient = backend_kind();
-        force_backend_kind(BackendKind::CpuBlocked);
-        let spec = e2e_spec(true);
-        let e = bench_e2e(&spec, BackendKind::Reference);
-        assert_eq!(e.backend, "reference");
-        assert_eq!(backend_kind(), BackendKind::CpuBlocked, "ambient backend restored");
-        force_backend_kind(ambient);
     }
 }

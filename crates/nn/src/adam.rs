@@ -79,9 +79,6 @@ impl Adam {
             cursor += p.len();
         });
         debug_assert_eq!(cursor, self.m.len());
-        // Keep held parameters representable in each layer's backend storage
-        // (no-op on f32 backends).
-        model.project_params();
         Ok(())
     }
 }

@@ -1,5 +1,5 @@
 //! Bit-identity suite for the trimmed training step, run on every backend
-//! (blocked, reference, f16). Three shortcuts must not move a single bit:
+//! (blocked, reference). Three shortcuts must not move a single bit:
 //!
 //! * (a) `Sequential::backward` stops at the first trainable layer, which
 //!   computes parameter gradients only — versus a full chain of
@@ -12,7 +12,7 @@
 
 use crate::layer::Layer;
 use crate::{models, Conv2d, Dense, Sequential};
-use fedcav_tensor::backend::{Backend, CpuBlocked, F16Storage, Reference};
+use fedcav_tensor::backend::{Backend, CpuBlocked, Reference};
 use fedcav_tensor::conv::Conv2dParams;
 use fedcav_tensor::im2col::Im2colScratch;
 use fedcav_tensor::{init, numerics, Tensor};
@@ -88,11 +88,6 @@ fn sequential_backward_matches_full_chain_blocked() {
 #[test]
 fn sequential_backward_matches_full_chain_reference() {
     sequential_backward_on::<Reference>();
-}
-
-#[test]
-fn sequential_backward_matches_full_chain_f16() {
-    sequential_backward_on::<F16Storage>();
 }
 
 /// The layer's `(param, grad)` pairs, cloned.
@@ -189,11 +184,6 @@ fn conv_cols_reuse_is_bit_identical_reference() {
     conv_cols_reuse_on::<Reference>();
 }
 
-#[test]
-fn conv_cols_reuse_is_bit_identical_f16() {
-    conv_cols_reuse_on::<F16Storage>();
-}
-
 fn dense_input_grad_on<B: Backend>() {
     let mut rng = StdRng::seed_from_u64(47);
     // Output widths off and on the 8-lane panel grid, batches off and on
@@ -233,9 +223,4 @@ fn dense_input_grad_matches_explicit_transpose_blocked() {
 #[test]
 fn dense_input_grad_matches_explicit_transpose_reference() {
     dense_input_grad_on::<Reference>();
-}
-
-#[test]
-fn dense_input_grad_matches_explicit_transpose_f16() {
-    dense_input_grad_on::<F16Storage>();
 }

@@ -1,12 +1,11 @@
 //! Convolution layer wrapping the `fedcav-tensor` conv kernels.
 //!
-//! The layer is generic over a [`Backend`]; on the default process-global
-//! [`Dispatch`] backend the `blocked` selection runs the arena-backed
-//! im2col lowering — each `Conv2d` owns one [`Im2colScratch`], so
-//! steady-state training performs no per-call allocations for the lowered
-//! operands — while `reference` runs the original direct kernels, which
-//! remain the oracle the property suite compares against, and `f16` runs
-//! the im2col lowering on binary16-quantized operands. A training forward
+//! The layer is generic over a [`Backend`] (default: the process-global
+//! [`Dispatch`]). `CpuBlocked` runs the arena-backed im2col lowering —
+//! each `Conv2d` owns one [`Im2colScratch`], so steady-state training
+//! performs no per-call allocations for the lowered operands — while
+//! `Reference` runs the original direct kernels, which remain the oracle
+//! the property suite compares against. A training forward
 //! leaves its unfolded input in the arena for the backward to reuse; an
 //! eval-mode forward marks it stale (see `fedcav_tensor::im2col`).
 
@@ -66,8 +65,7 @@ impl Conv2d {
 }
 
 impl<B: Backend> Conv2d<B> {
-    /// [`Conv2d::new`] on backend `B`. The fresh parameters are projected
-    /// onto `B`'s storage grid.
+    /// [`Conv2d::new`] on backend `B`.
     pub fn new_on<R: Rng>(
         rng: &mut R,
         in_channels: usize,
@@ -77,8 +75,7 @@ impl<B: Backend> Conv2d<B> {
         padding: usize,
     ) -> Self {
         let dims = [out_channels, in_channels, kernel, kernel];
-        let mut weight = init::kaiming_normal(rng, &dims);
-        B::init_store(weight.as_mut_slice());
+        let weight = init::kaiming_normal(rng, &dims);
         Conv2d {
             weight,
             bias: Tensor::zeros(&[out_channels]),
@@ -193,11 +190,6 @@ impl<B: Backend> Layer for Conv2d<B> {
         let a = read_tensor(&mut self.weight, src)?;
         let b = read_tensor(&mut self.bias, &src[a..])?;
         Ok(a + b)
-    }
-
-    fn project_params(&mut self) {
-        B::project_store(self.weight.as_mut_slice());
-        B::project_store(self.bias.as_mut_slice());
     }
 }
 

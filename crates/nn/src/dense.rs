@@ -12,17 +12,14 @@ use std::marker::PhantomData;
 /// * bias `b`: `[out_features]` (zero init)
 ///
 /// Generic over a [`Backend`] `B` (default: the process-global
-/// [`Dispatch`]): all matmuls run through `B`, and parameters are kept on
-/// `B`'s storage grid via [`Layer::project_params`].
+/// [`Dispatch`]): all matmuls run through `B`.
 ///
 /// The bias add is fused into the matmul's output store
 /// ([`Tensor::matmul_fused`]); [`Dense::new_fused_relu`] additionally
 /// fuses the ReLU activation, replacing a separate `ReLU` layer. Both
 /// fusions are bitwise-invisible — the per-element operation sequence is
 /// identical to the unfused stack — so swapping a `Dense → ReLU` pair for
-/// one fused layer cannot move training trajectories. (This holds on the
-/// f16 backend too: quantization preserves sign and zero, so it commutes
-/// with the ReLU clamp.)
+/// one fused layer cannot move training trajectories.
 pub struct Dense<B: Backend = Dispatch> {
     weight: Tensor,
     bias: Tensor,
@@ -53,11 +50,9 @@ impl Dense {
 }
 
 impl<B: Backend> Dense<B> {
-    /// New dense layer with Xavier-uniform weights on backend `B`. The
-    /// fresh parameters are projected onto `B`'s storage grid.
+    /// New dense layer with Xavier-uniform weights on backend `B`.
     pub fn new_on<R: Rng>(rng: &mut R, in_features: usize, out_features: usize) -> Self {
-        let mut weight = init::xavier_uniform(rng, in_features, out_features);
-        B::init_store(weight.as_mut_slice());
+        let weight = init::xavier_uniform(rng, in_features, out_features);
         Dense {
             weight,
             bias: Tensor::zeros(&[out_features]),
@@ -165,11 +160,6 @@ impl<B: Backend> Layer for Dense<B> {
         let a = read_tensor(&mut self.weight, src)?;
         let b = read_tensor(&mut self.bias, &src[a..])?;
         Ok(a + b)
-    }
-
-    fn project_params(&mut self) {
-        B::project_store(self.weight.as_mut_slice());
-        B::project_store(self.bias.as_mut_slice());
     }
 }
 

@@ -65,13 +65,6 @@ pub trait Layer: Send {
     fn read_state(&mut self, _src: &[f32]) -> Result<usize> {
         Ok(0)
     }
-
-    /// Project stored parameters onto the layer's backend storage grid
-    /// (see `fedcav_tensor::backend::TensorOps::project_store`). The
-    /// optimizers call this after each step so that what a layer *holds*
-    /// between steps is always representable in its backend's element
-    /// type. No-op for parameter-free layers and f32-storage backends.
-    fn project_params(&mut self) {}
 }
 
 /// Helper: append a tensor's contents to a flat buffer.

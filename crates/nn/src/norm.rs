@@ -219,13 +219,6 @@ impl<B: Backend> Layer for BatchNorm2d<B> {
         off += read_tensor(&mut self.running_var, &src[off..])?;
         Ok(off)
     }
-
-    fn project_params(&mut self) {
-        B::project_store(self.gamma.as_mut_slice());
-        B::project_store(self.beta.as_mut_slice());
-        B::project_store(self.running_mean.as_mut_slice());
-        B::project_store(self.running_var.as_mut_slice());
-    }
 }
 
 #[cfg(test)]

@@ -119,9 +119,6 @@ impl Sgd {
             update(&cfg, clip_scale, p, grad.as_slice(), v, a);
         });
         debug_assert!(velocity.is_empty());
-        // Keep held parameters representable in each layer's backend storage
-        // (no-op on f32 backends).
-        model.project_params();
         Ok(())
     }
 
@@ -235,7 +232,6 @@ mod tests {
             }
             cursor += p.len();
         });
-        model.project_params();
     }
 
     #[test]

@@ -8,8 +8,7 @@ use std::marker::PhantomData;
 /// Non-overlapping max pooling with a square window.
 ///
 /// Generic over a [`Backend`] for uniformity with the other layers; no
-/// backend currently overrides max pooling (the max of grid-stored values
-/// is itself on the grid, so even the f16 backend needs no projection).
+/// backend currently overrides max pooling.
 pub struct MaxPool2d<B: Backend = Dispatch> {
     window: usize,
     cached: Option<(Vec<usize>, Vec<usize>)>, // (input dims, argmax)
@@ -137,17 +136,5 @@ mod tests {
     fn gap_backward_requires_forward() {
         let mut p = GlobalAvgPool::new();
         assert!(p.backward(&Tensor::zeros(&[1, 1])).is_err());
-    }
-
-    #[test]
-    fn f16_gap_output_is_on_grid() {
-        use fedcav_tensor::backend::F16Storage;
-        use fedcav_tensor::F16;
-        let mut p = GlobalAvgPool::<F16Storage>::new_on();
-        let x = Tensor::from_vec(&[1, 1, 1, 3], vec![0.1, 0.2, 0.4]).unwrap();
-        let y = p.forward(&x, true).unwrap();
-        for &v in y.as_slice() {
-            assert_eq!(v.to_bits(), F16::quantize(v).to_bits());
-        }
     }
 }

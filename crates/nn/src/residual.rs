@@ -192,17 +192,6 @@ impl<B: Backend> Layer for BasicBlock<B> {
         }
         Ok(off)
     }
-
-    fn project_params(&mut self) {
-        self.conv1.project_params();
-        self.bn1.project_params();
-        self.conv2.project_params();
-        self.bn2.project_params();
-        if let Some((conv, bn)) = &mut self.shortcut {
-            conv.project_params();
-            bn.project_params();
-        }
-    }
 }
 
 #[cfg(test)]

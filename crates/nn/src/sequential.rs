@@ -147,15 +147,6 @@ impl Sequential {
         Ok(())
     }
 
-    /// Project every layer's stored parameters onto its backend's storage
-    /// grid (see `Layer::project_params`). Called by the optimizers after
-    /// each step; a no-op for f32-storage backends.
-    pub fn project_params(&mut self) {
-        for layer in &mut self.layers {
-            layer.project_params();
-        }
-    }
-
     /// Collect all trainable gradients into one flat vector (diagnostics and
     /// the proximal-term plumbing in `fedcav-fl`).
     pub fn flat_grads(&mut self) -> Vec<f32> {

@@ -1,10 +1,10 @@
-//! Hand-written IEEE 754 binary16 ("half") scalar, used by the
-//! [`F16Storage`](crate::backend::F16Storage) backend as its storage
-//! element type.
+//! Hand-written IEEE 754 binary16 ("half") scalar, used by the wire
+//! codec's `f16` scheme (`fedcav_nn::wire`) to narrow each parameter to
+//! 16 bits on the uplink and widen it back at the server.
 //!
 //! The workspace is offline-only, so instead of the `half` crate this is a
-//! minimal `u16`-newtype with exactly the three conversions the backend
-//! boundary needs:
+//! minimal `u16`-newtype with exactly the three conversions the codec
+//! needs:
 //!
 //! - [`F16::from_f32`]: round-to-nearest-even narrowing, with gradual
 //!   underflow into binary16 subnormals, overflow to ±Inf, and NaN
@@ -13,9 +13,8 @@
 //! - [`F16::to_f32`]: exact widening — every binary16 value (normal,
 //!   subnormal, ±0, ±Inf, NaN) is exactly representable in binary32.
 //! - [`F16::quantize`]: the round-trip `to_f32(from_f32(v))`, i.e. "snap
-//!   an f32 onto the binary16 grid". Idempotent and monotone; this is the
-//!   projection the f16 backend applies to stored parameters and
-//!   activations while all accumulation stays in f32.
+//!   an f32 onto the binary16 grid". Idempotent and monotone; this is
+//!   exactly what a parameter goes through on an `f16` uplink.
 
 /// An IEEE 754 binary16 value stored as its raw bit pattern.
 ///

@@ -6,8 +6,8 @@
 //! The direct kernel in [`crate::conv`] wins on the very small feature
 //! maps; im2col wins once `in_c·kh·kw` gets large because the blocked
 //! matmul (see [`crate::matmul`]) amortises better over cache lines. Both
-//! are exposed: the blocked and f16-storage backends lower through the
-//! arena path on the blocked matmul, the reference backend runs the direct
+//! are exposed: the blocked backend lowers through the arena path on the
+//! blocked matmul, the reference backend runs the direct
 //! kernels, the kernel micro-benches compare them, and the equivalence
 //! tests here pin them to each other within f32 rounding.
 //!

@@ -6,11 +6,11 @@
 //! stack needs:
 //!
 //! * an owned, contiguous, row-major [`Tensor`] of `f32`,
-//! * a [`backend`] trait boundary ([`Backend`] + [`TensorOps`] +
-//!   [`TensorElement`]) with three backends behind `FEDCAV_BACKEND`:
-//!   the cache-blocked default, the naive reference oracle, and an
-//!   f16-storage/f32-accumulate backend built on the hand-written
-//!   [`f16`] scalar,
+//! * a [`backend`] trait boundary ([`Backend`] + [`TensorOps`]) with two
+//!   backends, the cache-blocked default and the naive reference oracle,
+//!   named as types or selected for the whole process by `FEDCAV_BACKEND`,
+//! * a hand-written IEEE binary16 [`f16`] scalar (the wire codec's `f16`
+//!   scheme narrows through it),
 //! * single-threaded [`matmul`](Tensor::matmul) — a cache-blocked,
 //!   register-tiled kernel with fused bias/ReLU epilogues by default, plus
 //!   the original naive kernel behind `FEDCAV_BACKEND=reference` as the
@@ -49,8 +49,8 @@ pub mod shape;
 pub mod tensor;
 
 pub use backend::{
-    backend_kind, force_backend_kind, Backend, BackendKind, CpuBlocked, Dispatch, F16Storage,
-    Reference, TensorElement, TensorOps,
+    backend_kind, force_backend_kind, Backend, BackendKind, CpuBlocked, Dispatch, Reference,
+    TensorOps,
 };
 pub use counters::OpCounters;
 pub use error::TensorError;

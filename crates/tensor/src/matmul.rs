@@ -69,11 +69,11 @@
 //!
 //! ## Selection
 //!
-//! Kernel selection lives in [`crate::backend`]: the process-global
-//! backend is chosen once from `FEDCAV_BACKEND` (`blocked` | `reference`
-//! | `f16`, default `blocked`) and cached. The reference backend calls
-//! [`matmul_reference_into`]; the blocked and f16-storage backends (and
-//! the im2col lowering) call [`matmul_blocked_into`] /
+//! Kernel selection lives in [`crate::backend`]: a caller names a backend
+//! as a type, or takes the process backend read once from
+//! `FEDCAV_BACKEND` (`blocked` | `reference`, default `blocked`). The
+//! reference backend calls [`matmul_reference_into`]; the blocked backend
+//! (and the im2col lowering) call [`matmul_blocked_into`] /
 //! [`matmul_blocked_bt_into`].
 //!
 //! This module is on the `no-panic-in-round-loop` lint path: client
@@ -520,7 +520,7 @@ fn epilogue_row(row: &mut [f32], ep: Epilogue<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Backend, CpuBlocked, F16Storage, Reference, TensorOps};
+    use crate::backend::{Backend, CpuBlocked, Reference, TensorOps};
 
     fn seq(len: usize, scale: f32) -> Vec<f32> {
         (0..len).map(|i| ((i * 37 % 23) as f32 - 11.0) * scale).collect()
@@ -560,10 +560,9 @@ mod tests {
         let want = vec![19.0, 22.0, 43.0, 50.0];
         assert_eq!(run::<CpuBlocked>(&a, &b, 2, 2, 2, Epilogue::None), want);
         assert_eq!(run::<Reference>(&a, &b, 2, 2, 2, Epilogue::None), want);
-        assert_eq!(run::<F16Storage>(&a, &b, 2, 2, 2, Epilogue::None), want);
     }
 
-    /// The fused epilogues of an f32 backend `B` against separate passes.
+    /// The fused epilogues of backend `B` against separate passes.
     fn fused_epilogues_match_separate_passes<B: Backend>() {
         let (m, k, n) = (9, 5, 11);
         let a = seq(m * k, 0.1);
@@ -609,7 +608,6 @@ mod tests {
     fn degenerate_dims() {
         degenerate_dims_on::<CpuBlocked>();
         degenerate_dims_on::<Reference>();
-        degenerate_dims_on::<F16Storage>();
     }
 
     #[test]
@@ -661,6 +659,5 @@ mod tests {
     fn every_row_is_bit_identical_to_its_product_alone() {
         rows_match_their_products_alone::<CpuBlocked>();
         rows_match_their_products_alone::<Reference>();
-        rows_match_their_products_alone::<F16Storage>();
     }
 }

@@ -243,7 +243,7 @@ impl Tensor {
     ///
     /// Dispatches to the process-global backend selected by
     /// [`crate::backend::backend_kind`] (`FEDCAV_BACKEND=blocked|
-    /// reference|f16`, default the cache-blocked register-tiled kernel;
+    /// reference`, default the cache-blocked register-tiled kernel;
     /// `reference` is the original naive kernel kept as the
     /// differential-test oracle). Both f32 kernels run on the calling
     /// thread and accumulate each element in strictly ascending `k` order,

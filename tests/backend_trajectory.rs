@@ -16,25 +16,17 @@
 //! the blocked matmul's `m % 4` remainder rows began taking the full-band
 //! micro-kernel (DESIGN.md §12). Accuracy and dimension did not move.
 //!
-//! The tests force the process-global backend, so they hold
-//! [`BACKEND_LOCK`] for a whole run: cargo runs them on parallel threads.
-//!
-//! The f16 backend has no pre-refactor twin (it did not exist); for it
-//! the test only pins the contract that the run completes with a sane
-//! accuracy on parameters that stay finite.
+//! Each run names its backend as a type (`models::mlp_on::<B, _>`), so
+//! the tests share no state and cargo may run them on parallel threads.
 
 use fedcav::core::{FedCav, FedCavConfig};
 use fedcav::data::synthetic::{SyntheticConfig, SyntheticKind};
 use fedcav::data::{partition, Dataset};
 use fedcav::fl::executor::ClientExecutor;
 use fedcav::fl::{LocalConfig, Simulation, SimulationConfig};
-use fedcav::tensor::{backend_kind, force_backend_kind, BackendKind};
+use fedcav::tensor::backend::{Backend, CpuBlocked, Reference};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
-
-/// Serializes the runs: each forces the process-global backend.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
 /// Captured at pre-refactor HEAD: flat parameter count of the model.
 const HEAD_DIM: usize = 52650;
@@ -80,15 +72,12 @@ fn deployment() -> (Vec<Dataset>, Dataset, usize) {
 }
 
 /// The captured recipe, verbatim: 6 IID clients, MLP, FedCav default
-/// config, 2 sequential rounds at seed 91.
-fn run_on(kind: BackendKind) -> (Vec<f32>, f32) {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let ambient = backend_kind();
-    force_backend_kind(kind);
+/// config, 2 sequential rounds at seed 91, with every model on backend `B`.
+fn run_on<B: Backend>() -> (Vec<f32>, f32) {
     let (clients, test, img_len) = deployment();
     let factory = move || {
         let mut rng = StdRng::seed_from_u64(7);
-        fedcav::nn::models::mlp(&mut rng, img_len, 10)
+        fedcav::nn::models::mlp_on::<B, _>(&mut rng, img_len, 10)
     };
     let mut sim = Simulation::new(
         &factory,
@@ -104,14 +93,13 @@ fn run_on(kind: BackendKind) -> (Vec<f32>, f32) {
     );
     sim.set_executor(ClientExecutor::Sequential);
     sim.run(2).expect("run");
-    force_backend_kind(ambient);
     let acc = sim.history().records.last().expect("records").test_accuracy;
     (sim.global().to_vec(), acc)
 }
 
 #[test]
 fn blocked_backend_matches_pre_refactor_head_bit_for_bit() {
-    let (global, acc) = run_on(BackendKind::CpuBlocked);
+    let (global, acc) = run_on::<CpuBlocked>();
     assert_eq!(global.len(), HEAD_DIM);
     assert_eq!(acc, HEAD_ACC);
     assert_eq!(global[0].to_bits(), HEAD_G0, "first parameter moved");
@@ -126,7 +114,7 @@ fn blocked_backend_matches_pre_refactor_head_bit_for_bit() {
 
 #[test]
 fn reference_backend_matches_pre_refactor_head_bit_for_bit() {
-    let (global, acc) = run_on(BackendKind::Reference);
+    let (global, acc) = run_on::<Reference>();
     assert_eq!(global.len(), HEAD_DIM);
     assert_eq!(acc, HEAD_ACC);
     assert_eq!(global[0].to_bits(), HEAD_G0, "first parameter moved");
@@ -147,18 +135,4 @@ fn the_two_pinned_trajectories_really_differ() {
     // distinguishable.
     assert_ne!(HEAD_BLOCKED_HASH, HEAD_REFERENCE_HASH);
     assert_ne!(HEAD_BLOCKED_GLAST, HEAD_REFERENCE_GLAST);
-}
-
-#[test]
-fn f16_backend_completes_with_sane_accuracy_and_finite_params() {
-    let (global, acc) = run_on(BackendKind::F16Storage);
-    assert_eq!(global.len(), HEAD_DIM);
-    assert!(global.iter().all(|v| v.is_finite()), "f16 run produced non-finite parameters");
-    // Half-precision storage costs some accuracy on a 2-round run but
-    // must stay in the same regime as f32 (captured f32 accuracy: 0.55;
-    // chance level: 0.10).
-    assert!((0.2..=1.0).contains(&acc), "f16 accuracy {acc} out of the sane band");
-    // And it must be a genuinely different trajectory than f32 blocked —
-    // otherwise the storage projection is not wired in.
-    assert_ne!(param_hash(&global), HEAD_BLOCKED_HASH, "f16 trajectory identical to f32");
 }

@@ -1,8 +1,8 @@
 //! Bit-level f16 round-trip properties at the `fedcav-nn` wire boundary
-//! (DESIGN.md §16). The `F16Storage` backend stores parameters and
-//! activations on the binary16 grid while the codec and uint8 quantizer
-//! move them between client and server as f32 — these tests pin the three
-//! contracts that interaction relies on:
+//! (DESIGN.md §16, §17). The hand-written binary16 scalar is what the wire
+//! codec's `f16` scheme narrows parameters through; values on its grid
+//! must also survive the f32 codec and the uint8 quantizer unchanged —
+//! these tests pin the three contracts that interaction relies on:
 //!
 //! 1. **encode→decode identity**: parameters already snapped onto the f16
 //!    grid survive the identity wire codec (`wire::decode` of a

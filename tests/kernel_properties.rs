@@ -6,40 +6,36 @@
 //! (a) matmul conformance: `CpuBlocked` ≍ `Reference` within 1e-5
 //!     relative tolerance (they may differ in the last ulp: the reference
 //!     kernel skips `a_ik == 0.0` terms, the blocked kernel does not),
-//!     and `F16Storage` ≍ `Reference` within the looser 4e-3 — binary16
-//!     storage costs ~1e-3 relative per operand, accumulate-in-f32 keeps
-//!     the rest,
-//! (b) conv conformance: same oracle, same per-backend tolerances, for
-//!     the forward pass (fused ReLU included) and all three backward
-//!     gradients,
+//! (b) conv conformance: same oracle, same tolerance, for the forward
+//!     pass (fused ReLU included) and all three backward gradients,
 //! (c) the im2col scratch-arena conv forward/backward is **bit-for-bit**
 //!     identical to the per-call-allocation path, even when the arena is
 //!     dirty from previous, differently-shaped calls,
 //! (d) every backend is run-to-run bit-identical and
 //!     `ScopedThreads(4)` ≍ `Sequential` — the full simulation, faults
 //!     and latency active, reusing the vacuity-guard pattern from
-//!     `tests/executor_determinism.rs` — and the three backends really
-//!     produce three different trajectories (the dispatch is not wired to
-//!     one kernel set).
+//!     `tests/executor_determinism.rs` — and the two backends really
+//!     produce two different trajectories (a model built on a backend
+//!     type really runs that backend's kernels).
 //!
-//! The suite must stay green under any ambient `FEDCAV_BACKEND`: (a) and
+//! The suite must stay green under any process `FEDCAV_BACKEND`: (a) and
 //! (b) call the backends' static [`TensorOps`] entry points directly, (c)
-//! holds whichever backend is ambient, and (d) forces each backend in
-//! turn and restores the ambient one afterwards.
+//! calls the im2col functions directly, and (d) builds its models on each
+//! backend by type.
 
 use fedcav::data::{partition, Dataset, SyntheticConfig, SyntheticKind};
 use fedcav::fl::{
     ClientExecutor, FaultPolicy, FedAvg, History, LocalConfig, LogNormalLatency, RandomFaults,
     RoundRecord, Simulation, SimulationConfig,
 };
-use fedcav::tensor::backend::{Backend, CpuBlocked, F16Storage, Reference, TensorOps};
+use fedcav::tensor::backend::{Backend, CpuBlocked, Reference, TensorOps};
 use fedcav::tensor::conv::Conv2dParams;
 use fedcav::tensor::im2col::{
     conv2d_backward_im2col, conv2d_backward_im2col_with, conv2d_forward_im2col,
     conv2d_forward_im2col_with, Im2colScratch,
 };
 use fedcav::tensor::matmul::{Epilogue, MR, NR};
-use fedcav::tensor::{backend_kind, counters, force_backend_kind, BackendKind, Tensor};
+use fedcav::tensor::{counters, BackendKind, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -47,18 +43,9 @@ use support::{check, Gen};
 
 mod support;
 
-/// Per-backend conformance tolerance against the `Reference` oracle
-/// (relative, floored at scale 1.0 — see `close_within`).
-fn tolerance_of(backend: &str) -> f32 {
-    match backend {
-        "f16" => 4e-3,
-        _ => 1e-5,
-    }
-}
-
-/// Serializes the tests that read or force the process-global backend
-/// (cargo runs the tests in this binary on multiple threads).
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+/// Conformance tolerance against the `Reference` oracle (relative,
+/// floored at scale 1.0 — see `close_within`).
+const TOL: f32 = 1e-5;
 
 // ---------------------------------------------------------------- harness
 
@@ -142,7 +129,6 @@ fn shrink_mat(c: &MatCase) -> Vec<MatCase> {
 
 /// Run the matmul corpus through backend `B` against the oracle.
 fn conform_matmul<B: Backend>() {
-    let tol = tolerance_of(B::NAME);
     let cases = mat_cases();
     let mut zero_inputs = 0usize;
     for c in &cases {
@@ -168,41 +154,13 @@ fn conform_matmul<B: Backend>() {
         Reference::matmul(&a, &b, c.m, c.k, c.n, ep(()), &mut oracle);
         let mut candidate = Vec::new();
         B::matmul(&a, &b, c.m, c.k, c.n, ep(()), &mut candidate);
-        close_within(&oracle, &candidate, tol)
+        close_within(&oracle, &candidate, TOL)
     });
 }
 
 #[test]
 fn prop_blocked_matmul_matches_reference_within_tolerance() {
     conform_matmul::<CpuBlocked>();
-}
-
-#[test]
-fn prop_f16_matmul_matches_reference_within_f16_tolerance() {
-    conform_matmul::<F16Storage>();
-}
-
-#[test]
-fn f16_matmul_really_is_coarser_than_blocked() {
-    // Vacuity guard for the looser tolerance: somewhere in the corpus the
-    // f16 backend must actually leave the f32 result (else the 4e-3 bound
-    // is testing nothing the 1e-5 bound didn't).
-    let cases = mat_cases();
-    let mut diverged = false;
-    for c in &cases {
-        let mut g = Gen::new(c.seed);
-        let a = g.fill(c.m * c.k);
-        let b = g.fill(c.k * c.n);
-        let mut blocked = Vec::new();
-        CpuBlocked::matmul(&a, &b, c.m, c.k, c.n, Epilogue::None, &mut blocked);
-        let mut f16 = Vec::new();
-        F16Storage::matmul(&a, &b, c.m, c.k, c.n, Epilogue::None, &mut f16);
-        if blocked.iter().zip(&f16).any(|(x, y)| x.to_bits() != y.to_bits()) {
-            diverged = true;
-            break;
-        }
-    }
-    assert!(diverged, "f16 storage never changed a single bit — quantization is not wired in");
 }
 
 // -------------------------------------- (b) conv conformance per backend
@@ -294,7 +252,6 @@ fn shrink_conv(c: &ConvCase) -> Vec<ConvCase> {
 /// Run the conv corpus through backend `B` against the oracle: forward
 /// (fused ReLU included) and all three backward gradients.
 fn conform_conv<B: Backend>() {
-    let tol = tolerance_of(B::NAME);
     check(&format!("{} conv ≍ reference", B::NAME), &conv_cases(), shrink_conv, |c| {
         let (input, weight, bias) = c.tensors()?;
         let params = c.params();
@@ -306,7 +263,7 @@ fn conform_conv<B: Backend>() {
                 .map_err(|e| e.to_string())?;
         let fwd = B::conv2d_forward(&input, &weight, &bias, params, c.relu, &mut scratch)
             .map_err(|e| e.to_string())?;
-        close_within(oracle.as_slice(), fwd.as_slice(), tol)
+        close_within(oracle.as_slice(), fwd.as_slice(), TOL)
             .map_err(|e| format!("forward: {e}"))?;
 
         let mut g = Gen::new(c.seed ^ 0xD0);
@@ -322,7 +279,7 @@ fn conform_conv<B: Backend>() {
             ("d_weight", &oracle_b.d_weight, &bwd.d_weight),
             ("d_bias", &oracle_b.d_bias, &bwd.d_bias),
         ] {
-            close_within(x.as_slice(), y.as_slice(), tol)
+            close_within(x.as_slice(), y.as_slice(), TOL)
                 .map_err(|e| format!("backward {label}: {e}"))?;
         }
         Ok(())
@@ -332,11 +289,6 @@ fn conform_conv<B: Backend>() {
 #[test]
 fn prop_blocked_conv_matches_reference_within_tolerance() {
     conform_conv::<CpuBlocked>();
-}
-
-#[test]
-fn prop_f16_conv_matches_reference_within_f16_tolerance() {
-    conform_conv::<F16Storage>();
 }
 
 // ------------------------------- (c) arena conv ≍ per-call, bit-for-bit
@@ -361,9 +313,6 @@ fn bits_differ(a: &Tensor, b: &Tensor) -> Option<String> {
 fn prop_arena_conv_is_bit_identical_to_per_call_allocation() {
     // The whole point: ONE arena, dirtied by every previous case (larger
     // and smaller shapes alike), must keep matching fresh allocations.
-    // Hold the mode lock so test (d) cannot flip the backend between the
-    // fresh call and the arena call of one pair.
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let arena = Mutex::new(Im2colScratch::new());
     let cases = conv_cases();
     check("arena conv ≍ fresh conv", &cases, shrink_conv, |c| {
@@ -418,13 +367,13 @@ fn deployment(n_clients: usize) -> (Vec<Dataset>, Dataset, usize) {
     (part.client_datasets(&train).expect("partition"), test, img_len)
 }
 
-/// One full-featured run (faults, latency, deadline + quorum), on
-/// whichever backend is currently forced.
-fn run(executor: ClientExecutor) -> (Vec<f32>, History) {
+/// One full-featured run (faults, latency, deadline + quorum), with every
+/// model on backend `B`.
+fn run<B: Backend>(executor: ClientExecutor) -> (Vec<f32>, History) {
     let (clients, test, img_len) = deployment(6);
     let factory = move || {
         let mut rng = StdRng::seed_from_u64(7);
-        fedcav::nn::models::mlp(&mut rng, img_len, 10)
+        fedcav::nn::models::mlp_on::<B, _>(&mut rng, img_len, 10)
     };
     let mut sim = Simulation::new(
         &factory,
@@ -475,60 +424,49 @@ fn deterministic_view(history: &History) -> Vec<RoundRecord> {
         .collect()
 }
 
+/// Backend `B`'s final global: run-to-run and across executors, the
+/// globals and round records must be bit-identical.
+fn deterministic_on<B: Backend>() -> Vec<f32> {
+    let name = B::NAME;
+    let (global_a, history_a) = run::<B>(ClientExecutor::ScopedThreads(4));
+    let (global_b, history_b) = run::<B>(ClientExecutor::ScopedThreads(4));
+    let (global_seq, history_seq) = run::<B>(ClientExecutor::Sequential);
+
+    assert_eq!(global_a, global_b, "{name} kernels varied run-to-run");
+    assert_eq!(
+        deterministic_view(&history_a),
+        deterministic_view(&history_b),
+        "{name} round records varied run-to-run"
+    );
+    assert_eq!(global_a, global_seq, "{name}: ScopedThreads(4) diverged from Sequential");
+    assert_eq!(
+        deterministic_view(&history_a),
+        deterministic_view(&history_seq),
+        "{name} round records diverged from Sequential"
+    );
+    // Fault injection is a function of the seeds alone, so it must
+    // fire identically on every backend.
+    assert!(
+        history_a.records.iter().any(|r| r.faults.total_lost() > 0),
+        "{name}: fault injection never fired — comparison is vacuous"
+    );
+    global_a
+}
+
 #[test]
 fn prop_every_backend_bit_identical_under_scoped_threads() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let ambient = backend_kind();
-
     // Count kernel work so the "kernels ran" claim is not vacuous.
     let before = counters::snapshot();
     counters::enable();
-
-    let mut globals: Vec<(BackendKind, Vec<f32>)> = Vec::new();
-    for kind in BackendKind::ALL {
-        force_backend_kind(kind);
-        let (global_a, history_a) = run(ClientExecutor::ScopedThreads(4));
-        let (global_b, history_b) = run(ClientExecutor::ScopedThreads(4));
-        let (global_seq, history_seq) = run(ClientExecutor::Sequential);
-
-        assert_eq!(global_a, global_b, "{kind} kernels varied run-to-run");
-        assert_eq!(
-            deterministic_view(&history_a),
-            deterministic_view(&history_b),
-            "{kind} round records varied run-to-run"
-        );
-        assert_eq!(global_a, global_seq, "{kind}: ScopedThreads(4) diverged from Sequential");
-        assert_eq!(
-            deterministic_view(&history_a),
-            deterministic_view(&history_seq),
-            "{kind} round records diverged from Sequential"
-        );
-        // Fault injection is a function of the seeds alone, so it must
-        // fire identically on every backend.
-        assert!(
-            history_a.records.iter().any(|r| r.faults.total_lost() > 0),
-            "{kind}: fault injection never fired — comparison is vacuous"
-        );
-        globals.push((kind, global_a));
-    }
-
+    let blocked = deterministic_on::<CpuBlocked>();
+    let reference = deterministic_on::<Reference>();
     counters::disable();
     let work = counters::snapshot().delta(&before);
-    force_backend_kind(ambient);
 
     assert!(work.matmul_calls > 0, "no matmul ran — kernel determinism untested");
-
-    // Vacuity guard for the backend switch itself: three backends, three
-    // different trajectories. (Blocked and reference differ in the last
-    // ulp through the zero-skip path; f16 differs by whole grid steps.)
-    for i in 0..globals.len() {
-        for j in (i + 1)..globals.len() {
-            let (ka, a) = &globals[i];
-            let (kb, b) = &globals[j];
-            assert_ne!(
-                a, b,
-                "{ka} and {kb} produced identical trajectories — dispatch is not wired"
-            );
-        }
-    }
+    assert_eq!(BackendKind::ALL.len(), 2, "a new backend needs a run here");
+    // Vacuity guard for the backend type itself: two backends, two
+    // different trajectories (they differ in the last ulp through the
+    // zero-skip path).
+    assert_ne!(blocked, reference, "blocked and reference produced identical trajectories");
 }

@@ -3,7 +3,7 @@
 //! SGD must be a contraction toward lower loss on average.
 
 use fedcav::nn::{models, Sequential, Sgd, SgdConfig, SoftmaxCrossEntropy};
-use fedcav::tensor::{backend_kind, init, BackendKind, Tensor};
+use fedcav::tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use support::{forall, Gen};
@@ -161,16 +161,7 @@ fn sgd_step_moves_against_gradient() {
                 v
             };
             for ((b, a), g) in before.iter().zip(&after).zip(&grads) {
-                // On the f16 backend the optimizer re-projects the stepped
-                // parameter onto the binary16 grid, so the exact-arithmetic
-                // identity only holds to a grid half-ulp (`|a|·2⁻¹¹`, floored
-                // in the subnormal range).
-                let tol = if backend_kind() == BackendKind::F16Storage {
-                    1e-4f32.max(a.abs() * 2f32.powi(-10)).max(2f32.powi(-24))
-                } else {
-                    1e-4
-                };
-                ensure!((a - (b - lr * g)).abs() < tol, "{b} stepped to {a} (grad {g})");
+                ensure!((a - (b - lr * g)).abs() < 1e-4, "{b} stepped to {a} (grad {g})");
             }
             Ok(())
         },
